@@ -8,7 +8,6 @@ diagnostics.
 """
 
 from .core import (
-    DEFAULT_BLOCK_SIZE,
     EPS,
     CpqrResult,
     QrResult,
@@ -62,11 +61,10 @@ from .matrices import (
 )
 from .random import RngSeed, as_seed, gaussian_matrix, haar_orthogonal
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CSV_HEADER",
-    "DEFAULT_BLOCK_SIZE",
     "EPS",
     "CpqrResult",
     "ErrorProfile",

@@ -1,9 +1,10 @@
 """Deterministic dense factorization kernels.
 
-Blocked Householder QR (compact WY), column-pivoted QR with norm
-downdating, a dense SVD, and spectral norms.  These are the building
-blocks for every randomized factorization in the package.  All routines
-are pure functions of float64 arrays and never mutate their inputs.
+LAPACK Householder QR normalized to diag(R) >= 0, column-pivoted QR
+with norm downdating, a dense SVD, and spectral norms.  These are the
+building blocks for every randomized factorization in the package.  All
+routines are pure functions of float64 arrays and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
-
-DEFAULT_BLOCK_SIZE = 32
 
 # Recompute a downdated column norm from scratch once it has shrunk below
 # this fraction of its reference value (guards catastrophic cancellation).
@@ -76,55 +75,19 @@ def _householder(x):
     return v, tau
 
 
-def _qr_panel(a):
-    """Unblocked Householder QR of a panel, in place.
+def householder_qr(a) -> QrResult:
+    """Householder QR of a tall matrix, normalized to ``diag(r) >= 0``.
 
-    Returns the unit-lower Householder vectors (stacked column-wise) and
-    their coefficients; ``a`` is overwritten with the triangular factor,
-    with exact zeros below the diagonal.
-    """
-    m, n = a.shape
-    k = min(m, n)
-    vs = np.zeros((m, k))
-    taus = np.zeros(k)
-    for j in range(k):
-        v, tau = _householder(a[j:, j])
-        if tau != 0.0:
-            w = tau * (v @ a[j:, j:])
-            a[j:, j:] -= np.outer(v, w)
-        vs[j:, j] = v
-        taus[j] = tau
-        a[j + 1 :, j] = 0.0
-    return vs, taus
-
-
-def _wy_t(vs, taus):
-    """Upper-triangular T of the compact WY form H_1...H_k = I - V T V^T."""
-    k = taus.shape[0]
-    t = np.zeros((k, k))
-    for j in range(k):
-        t[j, j] = taus[j]
-        if j:
-            t[:j, j] = -taus[j] * (t[:j, :j] @ (vs[:, :j].T @ vs[:, j]))
-    return t
-
-
-def householder_qr(a, block_size: int = DEFAULT_BLOCK_SIZE) -> QrResult:
-    """Blocked Householder QR of a tall matrix.
-
-    Panels of ``block_size`` columns are factored with elementary
-    reflectors; the accumulated reflectors are applied to the trailing
-    matrix through the compact WY representation, so the bulk of the
-    work is matrix-matrix products.  The factorization is normalized to
-    ``diag(r) >= 0``, which makes the result unique and lets the Q of a
-    Gaussian matrix be exactly Haar distributed.
+    LAPACK ``geqrf``/``orgqr`` (through ``numpy.linalg.qr``) followed by
+    an exact sign flip of the columns of ``q`` and rows of ``r`` whose
+    diagonal entry is negative.  The normalization makes the result
+    unique and lets the Q of a Gaussian matrix be exactly Haar
+    distributed.
 
     Parameters
     ----------
     a : array_like, shape (m, n)
         Matrix to factor, m >= n, finite entries.
-    block_size : int, optional
-        Panel width; results agree across block sizes up to roundoff.
 
     Returns
     -------
@@ -137,25 +100,11 @@ def householder_qr(a, block_size: int = DEFAULT_BLOCK_SIZE) -> QrResult:
     m, n = a.shape
     if m < n:
         raise ValueError(f"householder_qr requires rows >= cols, got {m}x{n}")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-
-    r = a.copy()
-    panels = []
-    for j0 in range(0, n, block_size):
-        j1 = min(j0 + block_size, n)
-        vs, taus = _qr_panel(r[j0:, j0:j1])
-        t = _wy_t(vs, taus)
-        if j1 < n:
-            c = r[j0:, j1:]
-            c -= vs @ (t.T @ (vs.T @ c))
-        panels.append((j0, vs, t))
-
-    q = np.eye(m, n)
-    for j0, vs, t in reversed(panels):
-        b = q[j0:, :]
-        b -= vs @ (t @ (vs.T @ b))
-    return QrResult(q, r[:n, :].copy())
+    q, r = np.linalg.qr(a)
+    neg = np.diagonal(r) < 0.0
+    q[:, neg] *= -1.0
+    r[neg, :] *= -1.0
+    return QrResult(q, r)
 
 
 def cpqr(a) -> CpqrResult:
@@ -165,6 +114,10 @@ def cpqr(a) -> CpqrResult:
     position j (ties broken by lowest column index).  Trailing squared
     norms are downdated after each reflector and recomputed from scratch
     when the downdated value falls below 1e-2 of its reference value.
+    The working copy is prescaled by an exact power of two so that its
+    largest entry lies in [1/2, 1): squared norms cannot overflow, and
+    since the scaling is exact the factors are bitwise those of the
+    unscaled recurrence wherever that stays in range.
 
     Returns
     -------
@@ -176,7 +129,8 @@ def cpqr(a) -> CpqrResult:
     a = validated_matrix(a)
     m, n = a.shape
     k = min(m, n)
-    r = a.copy()
+    scale = np.frexp(np.abs(a).max(initial=0.0))[1]
+    r = np.ldexp(a, -scale, order="C")
     perm = np.arange(n)
     vs = np.zeros((m, k))
     taus = np.zeros(k)
@@ -214,7 +168,7 @@ def cpqr(a) -> CpqrResult:
             v = vs[j:, j]
             w = taus[j] * (v @ q[j:, :])
             q[j:, :] -= np.outer(v, w)
-    return CpqrResult(q, r[:k, :].copy(), perm)
+    return CpqrResult(q, np.ldexp(r[:k, :], scale), perm)
 
 
 def svd(a) -> SvdResult:

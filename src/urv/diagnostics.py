@@ -218,8 +218,6 @@ def _flop_terms(algorithm: str, m: int, n: int, q: int):
     m, n, q = int(m), int(n), int(q)
     m2n, mn2, n3 = m * m * n, m * n * n, n**3
     if algorithm in ("powerurv", "ddh"):
-        if algorithm == "ddh":
-            q = 0
         return {
             GEMM_QR: 2 * (2 * q + 1) * m2n
             + (4 * q + 2) * mn2

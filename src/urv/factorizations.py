@@ -73,9 +73,10 @@ def _orth(y, warnings: list[str], stage: str):
     A numerically rank-deficient sample is kept (with a recorded
     warning); only exact total collapse is an error.
     """
-    scale = np.linalg.norm(y)
-    if scale == 0.0:
+    amax = np.abs(y).max()
+    if amax == 0.0:
         raise RankCollapseError(f"sample matrix collapsed to zero during {stage}")
+    scale = amax * np.linalg.norm(y / amax)  # ||y||_F without underflow
     res = householder_qr(y)
     deficient = int(np.sum(np.diagonal(res.r) < EPS * scale))
     if deficient:

@@ -12,6 +12,8 @@ format a file uses.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 MAGIC = b"URVK1"
@@ -56,9 +58,13 @@ def load_matrix_binary(path) -> np.ndarray:
         if dims.size != 2:
             raise ValueError(f"{path}: truncated header")
         m, n = int(dims[0]), int(dims[1])
+        expected = len(MAGIC) + 16 + 8 * m * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(
+                f"{path}: header claims {m}x{n} ({expected} bytes), file has {size} bytes"
+            )
         data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
-        if data.size != m * n:
-            raise ValueError(f"{path}: expected {m * n} entries, got {data.size}")
     return data.reshape((m, n), order="F").copy()
 
 

@@ -81,6 +81,14 @@ def test_invalid_args_exit_1(capsys):
     assert main(["bench", "--matrix", "slow", "--alg", "rsvd", "--ell", "900"]) == 1
 
 
+def test_bad_binary_header_exit_1(tmp_path, capsys):
+    src = tmp_path / "huge.bin"
+    src.write_bytes(b"URVK1" + np.array([2**40, 2**40], dtype="<u8").tobytes() + bytes(16))
+    assert main(["bench", "--matrix", f"file:{src}", "--alg", "qlp",
+                 "--out", str(tmp_path / "h.csv")]) == 1
+    assert "urv: error:" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_2(tmp_path, capsys):
     a = np.zeros((6, 4))
     a[0, 0] = a[1, 1] = 1e-250

@@ -11,7 +11,7 @@ from conftest import jacobi_eigenvalues
 
 class TestHouseholderQr:
     def test_identity(self):
-        res = urv.householder_qr(np.eye(3), block_size=1)
+        res = urv.householder_qr(np.eye(3))
         assert np.array_equal(res.q, np.eye(3))
         assert np.array_equal(res.r, np.eye(3))
 
@@ -21,26 +21,25 @@ class TestHouseholderQr:
         assert np.allclose(res.q.T @ res.q, np.eye(2), atol=1e-15)
         assert np.array_equal(res.q @ res.r, np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("block_size", [1, 8])
-    def test_seeded_gaussian_recon(self, block_size):
+    def test_seeded_gaussian_recon(self):
         a = urv.gaussian_matrix(50, 30, urv.RngSeed(42))
-        res = urv.householder_qr(a, block_size=block_size)
+        res = urv.householder_qr(a)
         assert np.linalg.norm(res.q @ res.r - a) <= 1e-13 * np.linalg.norm(a)
 
-    def test_blocked_matches_unblocked(self):
-        # the unblocked path is the oracle for the blocked one
+    def test_matches_cholesky_oracle(self):
+        # a QR with positive diagonal is unique: r = cholesky(a^T a)^T
         a = urv.gaussian_matrix(50, 30, urv.RngSeed(42))
-        r1 = urv.householder_qr(a, block_size=1)
-        r8 = urv.householder_qr(a, block_size=8)
-        bound = 100 * 50 * EPS * np.linalg.norm(a)
-        assert np.linalg.norm(r8.r - r1.r) <= bound
-        assert np.linalg.norm(r8.q - r1.q) <= 100 * 50 * EPS * np.sqrt(30)
+        res = urv.householder_qr(a)
+        r = np.linalg.cholesky(a.T @ a).T
+        assert np.linalg.norm(res.r - r) <= 100 * 50 * EPS * np.linalg.norm(a)
+        q = np.linalg.solve(r.T, a.T).T
+        assert np.linalg.norm(res.q - q) <= 100 * 50 * EPS * np.sqrt(30)
 
-    @pytest.mark.parametrize("shape,block", [((40, 40), 7), ((200, 160), 32), ((33, 1), 4)])
-    def test_invariants(self, shape, block):
+    @pytest.mark.parametrize("shape", [(40, 40), (200, 160), (33, 1)])
+    def test_invariants(self, shape):
         m, n = shape
         a = urv.gaussian_matrix(m, n, urv.RngSeed(9))
-        res = urv.householder_qr(a, block_size=block)
+        res = urv.householder_qr(a)
         bound = 10 * max(m, n) * EPS
         assert np.linalg.norm(res.q.T @ res.q - np.eye(n)) <= bound
         assert np.linalg.norm(res.q @ res.r - a) <= bound * np.linalg.norm(a)
@@ -64,9 +63,17 @@ class TestHouseholderQr:
         with pytest.raises(ValueError):
             urv.householder_qr(a)
 
-    def test_rejects_bad_block(self):
-        with pytest.raises(ValueError):
-            urv.householder_qr(np.eye(3), block_size=0)
+    @pytest.mark.parametrize("c", [1e-200, 1e155])
+    def test_extreme_scale(self, c):
+        # factors of c*a are those of a, rescaled, to roundoff: no overflow or underflow
+        a = urv.gaussian_matrix(60, 40, urv.RngSeed(4))
+        ref = urv.householder_qr(a)
+        res = urv.householder_qr(c * a)
+        assert np.isfinite(res.q).all() and np.isfinite(res.r).all()
+        bound = 100 * 60 * EPS
+        assert np.linalg.norm(res.q @ (res.r / c) - a) <= bound * np.linalg.norm(a)
+        assert np.linalg.norm(res.q - ref.q) <= bound * np.sqrt(40)
+        assert np.allclose(res.r / c, ref.r, rtol=0, atol=bound * np.linalg.norm(a))
 
 
 class TestCpqr:

@@ -201,7 +201,33 @@ class TestTruncate:
             urv.truncate(f, a.shape[1] + 1)
 
 
+_SCALED_RUNS = {
+    "ddh": lambda a: urv.ddh_urv(a, seed=5),
+    "powerurv_q1": lambda a: urv.power_urv(a, q=1, seed=5),
+    "powerurv_q2": lambda a: urv.power_urv(a, q=2, seed=5),
+    "qlp": urv.qlp,
+    "rsvd": lambda a: urv.rsvd(a, ell=40, seed=5),
+}
+
+
 class TestCrossAlgorithmProperties:
+    @pytest.mark.parametrize("alg", sorted(_SCALED_RUNS))
+    @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e150, 1e300])
+    def test_scale_equivariance(self, matrix_slow, alg, c):
+        # factoring c*a gives the factors of a with r (or sigma) times c
+        a, _ = matrix_slow
+        run = _SCALED_RUNS[alg]
+        ref, f = run(a), run(c * a)
+        if alg == "rsvd":
+            assert np.isfinite(f.u).all() and np.isfinite(f.v).all()
+            assert np.allclose(f.sigma / c, ref.sigma, rtol=1e-8, atol=0)
+            return
+        assert all(np.isfinite(x).all() for x in (f.u, f.r, f.v))
+        err = np.linalg.norm(f.u @ (f.r / c) @ f.v.T - a) / np.linalg.norm(a)
+        assert err <= 100 * max(a.shape) * EPS
+        diag, diag_ref = np.abs(np.diag(f.r)) / c, np.abs(np.diag(ref.r))
+        assert np.allclose(diag, diag_ref, rtol=1e-8, atol=0)
+
     def test_eckart_young_bound(self, matrix_sshape):
         a, _ = matrix_sshape
         sref = urv.reference_singular_values(a)

@@ -64,3 +64,16 @@ def test_bad_files(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         urv.load_matrix_csv(empty)
+
+
+def test_binary_header_checked_against_size(tmp_path):
+    # a 37-byte file whose header claims 2**40 x 2**40 entries
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"URVK1" + np.array([2**40, 2**40], dtype="<u8").tobytes() + bytes(16))
+    with pytest.raises(ValueError, match="header claims"):
+        urv.load_matrix_binary(path)
+    short = tmp_path / "short.bin"
+    urv.save_matrix_binary(short, np.ones((3, 2)))
+    short.write_bytes(short.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="header claims"):
+        urv.load_matrix(short)
