@@ -21,8 +21,9 @@ class TestHouseholderQr:
         assert np.allclose(res.q.T @ res.q, np.eye(2), atol=1e-15)
         assert np.array_equal(res.q @ res.r, np.zeros((3, 2)))
 
-    def test_seeded_gaussian_recon(self):
-        a = urv.gaussian_matrix(50, 30, urv.RngSeed(42))
+    @pytest.mark.parametrize("seed", [1, 8])
+    def test_seeded_gaussian_recon(self, seed):
+        a = urv.gaussian_matrix(50, 30, urv.RngSeed(seed))
         res = urv.householder_qr(a)
         assert np.linalg.norm(res.q @ res.r - a) <= 1e-13 * np.linalg.norm(a)
 
