@@ -164,8 +164,8 @@ def _run_bench(args) -> int:
     wall = time.perf_counter() - t0
 
     sigma_ref = reference_singular_values(a)
-    err = error_profile(a, fac, sigma_ref)
     rev = reveal_profile(fac, sigma_ref=sigma_ref)
+    err = error_profile(a, fac, sigma_ref, reveal=rev)
     out = args.out or f"{args.matrix.replace(':', '_')}_{args.alg}.csv"
     write_profile_csv(out, err, rev)
 

@@ -5,10 +5,24 @@ block singular-value (reveal) profiles, orthogonal-projection errors,
 the numerical check of the PowerURV/RSVD range-equivalence, and
 leading-order flop models for each algorithm.
 
-Spectral norms of residuals are computed exactly (SVD of the residual
-matrix) rather than estimated; at the few-hundred scale this package
-targets, the exact reference removes estimator noise from every
-comparison.
+Spectral errors of a URV factorization come from one per-rank pass.
+Because r is exactly upper triangular, the rank-k residual is
+
+    a - u[:, :k] r[:k, :] v^T  =  D + u[:, k:] r[k:, k:] v[:, k:]^T,
+
+with D = a - u r v^T, so its spectral norm equals ||r[k:, k:]||_2 (the
+``smax_r22`` column of the reveal profile) to within the slack
+
+    eta_k = ||D||_F + (||u^T u - I||_F + ||v^T v - I||_F) ||r[k:, k:]||_2,
+
+a first-order bound that accounts for the backward error of the
+factorization and the loss of orthonormality in u and v.
+
+A rank whose trailing-block norm exceeds ``CERTIFY_FACTOR * eta_k``
+takes that norm as its spectral error; every other rank, the
+roundoff-level tail, gets an exact SVD of its residual matrix.  RSVD
+profiles use exact residual SVDs up to rank ell.  Frobenius errors are
+exact at every rank.
 """
 
 from __future__ import annotations
@@ -26,6 +40,10 @@ CSV_HEADER = "k,abs_sp,abs_fro,rel_sp,rel_fro,sigma_ref,smin_r11,smax_r22"
 GEMM_QR = "gemm_qr"
 CPQR_CLASS = "cpqr"
 LEVEL2 = "level2"
+
+# A URV rank takes ||r[k:, k:]||_2 as its spectral error when that norm
+# exceeds this multiple of its slack eta_k (see the module docstring).
+CERTIFY_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -83,25 +101,70 @@ def reference_singular_values(a) -> np.ndarray:
     return np.concatenate([s, np.zeros(a.shape[1] + 1 - s.size)])
 
 
-def _low_rank_errors(a, u, rows, kmax):
-    """Spectral/Frobenius residual norms of u[:, :k] @ rows[:k, :], k = 0..kmax.
+def _exponent(a) -> int:
+    """Binary exponent e with max|a| in [2**(e-1), 2**e) (0 for a zero matrix)."""
+    return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
-    Ranks beyond ``u.shape[1]`` reuse the full approximant (a truncated
-    SVD of rank ell cannot be extended past ell).
+
+def _frobenius(x, scale: int) -> float:
+    """||x||_F computed on x * 2**-scale, so squares neither overflow nor underflow.
+
+    The scaling is exact, so the result is bitwise the unscaled norm
+    wherever that stays in range.
     """
-    resid = a.astype(np.float64, copy=True)
-    lim = u.shape[1]
-    sp = np.empty(kmax + 1)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -scale)), scale))
+
+
+def _trailing_spectral_norms(r) -> np.ndarray:
+    """||r[k:, k:]||_2 for k = 0..n (0 at k = n)."""
+    n = r.shape[0]
+    smax = np.zeros(n + 1)
+    for k in range(n):
+        smax[k] = np.linalg.svd(r[k:, k:], compute_uv=False)[0]
+    return smax
+
+
+def _low_rank_errors(a, u, rows, exact, scale: int):
+    """Residual norms of a - u[:, :k] @ rows[:k, :] for k = 0..u.shape[1].
+
+    Frobenius norms are returned for every k, spectral norms only where
+    ``exact[k]`` (NaN elsewhere).
+    """
+    resid = a.copy()
+    kmax = u.shape[1]
+    sp = np.full(kmax + 1, np.nan)
     fro = np.empty(kmax + 1)
     for k in range(kmax + 1):
-        sp[k] = np.linalg.svd(resid, compute_uv=False)[0]
-        fro[k] = np.linalg.norm(resid)
-        if k < min(kmax, lim):
+        if exact[k]:
+            sp[k] = np.linalg.svd(resid, compute_uv=False)[0]
+        fro[k] = _frobenius(resid, scale)
+        if k < kmax:
             resid -= np.outer(u[:, k], rows[k, :])
     return sp, fro
 
 
-def error_profile(a, f, sigma_ref=None) -> ErrorProfile:
+def _urv_errors(a, f: UrvFactorization, smax, scale: int):
+    """Per-rank errors of a URV factorization, certified where possible."""
+    n = f.r.shape[0]
+    rows = f.r @ f.v.T
+    eye = np.eye(n)
+    orth = np.linalg.norm(f.u.T @ f.u - eye) + np.linalg.norm(f.v.T @ f.v - eye)
+    eta = _frobenius(a - f.u @ rows, scale) + orth * smax
+    certified = smax > CERTIFY_FACTOR * eta
+    sp, fro = _low_rank_errors(a, f.u, rows, ~certified, scale)
+    sp[certified] = smax[certified]
+    return sp, fro
+
+
+def _rsvd_errors(a, f: RsvdFactorization, scale: int):
+    """Per-rank errors of an RSVD; ranks past ell repeat the rank-ell ones."""
+    rows = f.sigma[:, None] * f.v.T
+    sp, fro = _low_rank_errors(a, f.u, rows, np.ones(f.ell + 1, bool), scale)
+    rank = np.minimum(np.arange(a.shape[1] + 1), f.ell)
+    return sp[rank], fro[rank]
+
+
+def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     """Truncation error curves of a URV or RSVD factorization.
 
     Parameters
@@ -112,6 +175,9 @@ def error_profile(a, f, sigma_ref=None) -> ErrorProfile:
         Factorization to evaluate.
     sigma_ref : array, optional
         Cached ``reference_singular_values(a)``; recomputed if absent.
+    reveal : RevealProfile, optional
+        Cached ``reveal_profile(f, ...)``; its trailing-block norms are
+        recomputed if absent.  The result is the same either way.
 
     Returns
     -------
@@ -123,13 +189,12 @@ def error_profile(a, f, sigma_ref=None) -> ErrorProfile:
     n = a.shape[1]
     if sigma_ref is None:
         sigma_ref = reference_singular_values(a)
+    scale = _exponent(a)
     if isinstance(f, RsvdFactorization):
-        u, rows = f.u, f.sigma[:, None] * f.v.T
-        algorithm = f.provenance.algorithm
+        sp, fro = _rsvd_errors(a, f, scale)
     else:
-        u, rows = f.u, f.r @ f.v.T
-        algorithm = f.provenance.algorithm
-    sp, fro = _low_rank_errors(a, u, rows, n)
+        smax = _trailing_spectral_norms(f.r) if reveal is None else reveal.smax_r22
+        sp, fro = _urv_errors(a, f, smax, scale)
     return ErrorProfile(
         k=np.arange(n + 1),
         abs_spectral=sp,
@@ -137,7 +202,7 @@ def error_profile(a, f, sigma_ref=None) -> ErrorProfile:
         rel_spectral=sp / sp[0],
         rel_frobenius=fro / fro[0],
         sigma_ref=sigma_ref,
-        algorithm=algorithm,
+        algorithm=f.provenance.algorithm,
     )
 
 
@@ -161,12 +226,9 @@ def reveal_profile(f, a=None, sigma_ref=None) -> RevealProfile:
     r = f.r
     n = r.shape[0]
     smin = np.zeros(n + 1)
-    smax = np.zeros(n + 1)
     for k in range(1, n + 1):
         smin[k] = np.linalg.svd(r[:k, :k], compute_uv=False)[-1]
-    for k in range(n):
-        smax[k] = np.linalg.svd(r[k:, k:], compute_uv=False)[0]
-    return RevealProfile(np.arange(n + 1), smin, smax, sigma_ref)
+    return RevealProfile(np.arange(n + 1), smin, _trailing_spectral_norms(r), sigma_ref)
 
 
 def projection_error(a, u, k: int) -> float:

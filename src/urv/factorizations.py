@@ -32,7 +32,7 @@ from .random import RngSeed, as_seed, gaussian_matrix
 
 
 class RankCollapseError(Exception):
-    """The power-iteration sample matrix collapsed to exact zero."""
+    """A sample matrix collapsed to exact zero or overflowed."""
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,18 @@ def _orth(y, warnings: list[str], stage: str):
     """Orthonormal basis of the columns of y via unpivoted QR.
 
     A numerically rank-deficient sample is kept (with a recorded
-    warning); only exact total collapse is an error.
+    warning); exact total collapse and overflow are errors.
     """
     amax = np.abs(y).max()
     if amax == 0.0:
         raise RankCollapseError(f"sample matrix collapsed to zero during {stage}")
-    scale = amax * np.linalg.norm(y / amax)  # ||y||_F without underflow
+    if not np.isfinite(amax):
+        raise RankCollapseError(f"sample matrix overflowed during {stage}")
     res = householder_qr(y)
-    deficient = int(np.sum(np.diagonal(res.r) < EPS * scale))
+    # diag(r) < EPS * ||y||_F, compared relative to amax so that neither
+    # side overflows or underflows
+    rel_norm = np.linalg.norm(y / amax)
+    deficient = int(np.sum(np.diagonal(res.r) / amax < EPS * rel_norm))
     if deficient:
         warnings.append(f"{stage}: {deficient} numerically rank-deficient sample columns")
     return res.q
@@ -97,6 +101,11 @@ def _powered_sample(a, g, q: int, reorth: bool, warnings: list[str]):
         if q and not y.any():
             raise RankCollapseError(
                 "power iteration underflowed to the zero matrix; "
+                "re-enable reorthonormalization or reduce q"
+            )
+        if q and not np.isfinite(y).all():
+            raise RankCollapseError(
+                "power iteration overflowed; "
                 "re-enable reorthonormalization or reduce q"
             )
     return y

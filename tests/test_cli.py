@@ -100,6 +100,38 @@ def test_numerical_failure_exit_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _scaled_slow_file(tmp_path, amax):
+    a, _ = urv.gen_slow_decay(60, 40, seed=0)
+    src = tmp_path / f"slow_{amax:g}.bin"
+    urv.save_matrix_binary(src, a * (amax / np.abs(a).max()))
+    return src
+
+
+def test_frobenius_near_overflow(tmp_path, capsys):
+    # max|a| = 1e307: squared entries overflow unless the norms are prescaled
+    rows = {}
+    for amax in (1.0, 1e307):
+        src = _scaled_slow_file(tmp_path, amax)
+        out = tmp_path / f"p_{amax:g}.csv"
+        assert main(["bench", "--matrix", f"file:{src}", "--alg", "powerurv",
+                     "--out", str(out)]) == 0
+        rows[amax] = np.loadtxt(out, delimiter=",", skiprows=1)
+    big, ref = rows[1e307], rows[1.0]
+    assert big.shape == (41, 8) and np.isfinite(big).all()
+    assert np.allclose(big[:, 2] / 1e307, ref[:, 2], rtol=1e-8, atol=1e-13)
+    assert np.allclose(big[:, 4], ref[:, 4], rtol=1e-8, atol=1e-13)
+    assert "rank-deficient" not in capsys.readouterr().err
+
+
+def test_sample_overflow_exit_2(tmp_path, capsys):
+    src = _scaled_slow_file(tmp_path, 1e306)
+    with np.errstate(over="ignore"):
+        code = main(["bench", "--matrix", f"file:{src}", "--alg", "powerurv", "--q", "1",
+                     "--no-reorth", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_timing_command(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code = main(["timing", "--sizes", "64,96", "--reps", "2", "--algs", "qr,cpqr",

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 import urv
-from urv.diagnostics import CPQR_CLASS, GEMM_QR, LEVEL2
+from urv.diagnostics import CERTIFY_FACTOR, CPQR_CLASS, GEMM_QR, LEVEL2
+
+PAPER_MATRICES = ["fast", "slow", "sshape", "bie"]
+
+_URV_RUNS = {
+    "ddh": lambda a: urv.ddh_urv(a, 0),
+    "powerurv_q1": lambda a: urv.power_urv(a, 1, True, 0),
+    "powerurv_q1_noreorth": lambda a: urv.power_urv(a, 1, False, 0),
+    "powerurv_q2": lambda a: urv.power_urv(a, 2, True, 0),
+    "qlp": urv.qlp,
+}
 
 
 def _rank_r_matrix(m, n, r, seed):
@@ -12,6 +22,23 @@ def _rank_r_matrix(m, n, r, seed):
     v = urv.householder_qr(urv.gaussian_matrix(n, r, urv.as_seed(seed).spawn(2))).q
     d = np.geomspace(1.0, 0.5, r)
     return (u * d) @ v.T
+
+
+def _paper_matrix(request, name):
+    m = request.getfixturevalue(f"matrix_{name}")
+    return m if name == "bie" else m[0]
+
+
+def _exact_errors(a, u, rows):
+    """Reference: spectral and Frobenius norms of every incrementally updated residual."""
+    resid = a.copy()
+    sp, fro = [], []
+    for k in range(u.shape[1] + 1):
+        sp.append(np.linalg.svd(resid, compute_uv=False)[0])
+        fro.append(np.linalg.norm(resid))
+        if k < u.shape[1]:
+            resid -= np.outer(u[:, k], rows[k, :])
+    return np.array(sp), np.array(fro)
 
 
 class TestErrorProfile:
@@ -45,6 +72,44 @@ class TestErrorProfile:
         # ranks past ell keep the rank-ell residual
         assert p.abs_spectral[61] == p.abs_spectral[160]
         assert (p.abs_spectral >= sigma_slow * (1 - 1e-10)).all()
+
+    @pytest.mark.parametrize("alg", sorted(_URV_RUNS))
+    @pytest.mark.parametrize("name", PAPER_MATRICES)
+    def test_certified_spectral_matches_exact(self, request, name, alg):
+        a = _paper_matrix(request, name)
+        f = _URV_RUNS[alg](a)
+        sref = urv.reference_singular_values(a)
+        rev = urv.reveal_profile(f, sigma_ref=sref)
+        p = urv.error_profile(a, f, sref, reveal=rev)
+        # the cached reveal profile never changes the output
+        plain = urv.error_profile(a, f, sref)
+        for col in ("abs_spectral", "abs_frobenius", "rel_spectral", "rel_frobenius"):
+            assert np.array_equal(getattr(p, col), getattr(plain, col))
+
+        rows = f.r @ f.v.T
+        sp, fro = _exact_errors(a, f.u, rows)
+        smax = rev.smax_r22
+        eye = np.eye(a.shape[1])
+        orth = np.linalg.norm(f.u.T @ f.u - eye) + np.linalg.norm(f.v.T @ f.v - eye)
+        eta = np.linalg.norm(a - f.u @ rows) + orth * smax
+        certified = smax > CERTIFY_FACTOR * eta
+        assert certified[0] and not certified[-1]
+        assert np.array_equal(p.abs_spectral[certified], smax[certified])
+        assert np.array_equal(p.abs_spectral[~certified], sp[~certified])
+        assert (np.abs(p.abs_spectral - sp) <= eta).all()
+        assert np.array_equal(p.abs_frobenius, fro)
+
+    @pytest.mark.parametrize("name", PAPER_MATRICES)
+    def test_rsvd_tail_repeats_rank_ell(self, request, name):
+        a = _paper_matrix(request, name)
+        ell = 60
+        f = urv.rsvd(a, ell, q=1, seed=0)
+        p = urv.error_profile(a, f)
+        sp, fro = _exact_errors(a, f.u, f.sigma[:, None] * f.v.T)
+        assert np.array_equal(p.abs_spectral[: ell + 1], sp)
+        assert np.array_equal(p.abs_frobenius[: ell + 1], fro)
+        assert (p.abs_spectral[ell:] == sp[ell]).all()
+        assert (p.abs_frobenius[ell:] == fro[ell]).all()
 
 
 class TestRevealProfile:
