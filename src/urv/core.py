@@ -53,6 +53,15 @@ def validated_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
+def max_exponent(a) -> int:
+    """Binary exponent e with max|a| in [2**(e-1), 2**e) (0 for a zero matrix).
+
+    Scaling by ``2**-e`` is exact and brings the largest entry into
+    [1/2, 1), where squares can neither overflow nor underflow.
+    """
+    return int(np.frexp(np.abs(a).max(initial=0.0))[1])
+
+
 def _householder(x):
     """Reflector (v, tau) with v[0] = 1 and (I - tau*v*v^T) x = +||x|| e_1.
 
@@ -129,7 +138,7 @@ def cpqr(a) -> CpqrResult:
     a = validated_matrix(a)
     m, n = a.shape
     k = min(m, n)
-    scale = np.frexp(np.abs(a).max(initial=0.0))[1]
+    scale = max_exponent(a)
     r = np.ldexp(a, -scale, order="C")
     perm = np.arange(n)
     vs = np.zeros((m, k))

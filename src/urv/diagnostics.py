@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import singular_values, validated_matrix
+from .core import max_exponent, singular_values, validated_matrix
 from .factorizations import RsvdFactorization, UrvFactorization, power_urv, rsvd
 
 CSV_HEADER = "k,abs_sp,abs_fro,rel_sp,rel_fro,sigma_ref,smin_r11,smax_r22"
@@ -99,11 +99,6 @@ def reference_singular_values(a) -> np.ndarray:
     a = validated_matrix(a)
     s = singular_values(a)
     return np.concatenate([s, np.zeros(a.shape[1] + 1 - s.size)])
-
-
-def _exponent(a) -> int:
-    """Binary exponent e with max|a| in [2**(e-1), 2**e) (0 for a zero matrix)."""
-    return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
 
 def _frobenius(x, scale: int) -> float:
@@ -176,8 +171,9 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     sigma_ref : array, optional
         Cached ``reference_singular_values(a)``; recomputed if absent.
     reveal : RevealProfile, optional
-        Cached ``reveal_profile(f, ...)``; its trailing-block norms are
-        recomputed if absent.  The result is the same either way.
+        Cached ``reveal_profile(f, ...)``; for a URV factorization its
+        trailing-block norms are used instead of being recomputed.  The
+        result is the same either way.
 
     Returns
     -------
@@ -189,7 +185,7 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     n = a.shape[1]
     if sigma_ref is None:
         sigma_ref = reference_singular_values(a)
-    scale = _exponent(a)
+    scale = max_exponent(a)
     if isinstance(f, RsvdFactorization):
         sp, fro = _rsvd_errors(a, f, scale)
     else:
