@@ -14,8 +14,10 @@ Three subcommands drive the library end to end:
 Exit codes: 0 success, 1 invalid arguments, 2 numerical failure.
 
 Every CSV is accompanied by a manifest carrying the matrix spec, the
-algorithm parameters, the seed, and the library version: that tuple is
-enough to reproduce the CSV bit for bit (timing files excepted).
+algorithm parameters, the seed, and the library version: with the same
+BLAS library and BLAS thread count, that tuple is enough to reproduce the
+CSV bit for bit (timing files excepted).  A different thread count can
+change the last bits, because the BLAS sums in a different order.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .matrices import (
     DEFAULT_N,
     MatrixSpec,
     from_spec,
+    matrix_streams,
 )
 from .random import RngSeed, gaussian_matrix
 
@@ -103,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--no-reorth", action="store_true")
 
     t = sub.add_parser("timing", help="wall-clock sweep of the kernels")
-    t.add_argument("--sizes", default="256,512", help="comma-separated n values")
+    t.add_argument("--sizes", default="256,512",
+                   help="comma-separated n (square) or MxN (tall) values")
     t.add_argument("--reps", type=int, default=3)
     t.add_argument("--algs", default="qr,cpqr",
                    help=f"comma-separated from {','.join(TIMING_ALGS)}")
@@ -169,6 +173,7 @@ def _run_bench(args) -> int:
     out = args.out or f"{args.matrix.replace(':', '_')}_{args.alg}.csv"
     write_profile_csv(out, err, rev)
 
+    streams = {k: list(s) for k, s in matrix_streams(spec).items()} if spec else {}
     manifest = {
         "spec": json.loads(spec.to_json()) if spec else {"file": args.matrix},
         "algorithm": {
@@ -178,11 +183,7 @@ def _run_bench(args) -> int:
             "ell": args.ell if args.alg == "rsvd" else None,
         },
         "seed": {"seed": seed.seed, "stream": seed.stream},
-        "streams": {
-            "matrix_u": list(seed.spawn(1)),
-            "matrix_v": list(seed.spawn(2)),
-            "sketch": list(seed),
-        },
+        "streams": {**streams, "sketch": list(seed)},
         "wall_time_s": wall,
         "library_version": __version__,
         "outputs": [str(out)],
@@ -222,18 +223,28 @@ def _timing_once(alg, a, q, seed):
         raise UsageError(f"unknown timing algorithm {alg!r}")
 
 
-def _run_timing(args) -> int:
+def _parse_size(entry: str):
+    """``(m, n, label)`` from an ``n`` or ``MxN`` entry of ``--sizes``."""
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+        dims = [int(d) for d in entry.split("x")]
     except ValueError as exc:
         raise UsageError(f"bad --sizes: {exc}") from exc
+    if len(dims) == 1:
+        return dims[0], dims[0], str(dims[0])
+    if len(dims) != 2 or not dims[0] >= dims[1] >= 1:
+        raise UsageError(f"bad --sizes entry {entry!r}: expected n or MxN with M >= N >= 1")
+    return dims[0], dims[1], f"{dims[0]}x{dims[1]}"
+
+
+def _run_timing(args) -> int:
+    sizes = [_parse_size(s) for s in args.sizes.split(",") if s]
     algs = [s.strip() for s in args.algs.split(",") if s.strip()]
     for alg in algs:
         if alg not in TIMING_ALGS:
             raise UsageError(f"unknown timing algorithm {alg!r}")
     rows = []
-    for n in sizes:
-        a = gaussian_matrix(n, n, RngSeed(args.seed))
+    for m, n, label in sizes:
+        a = gaussian_matrix(m, n, RngSeed(args.seed))
         for alg in algs:
             times = []
             for _ in range(max(1, args.reps)):
@@ -241,12 +252,12 @@ def _run_timing(args) -> int:
                 _timing_once(alg, a, args.q, RngSeed(args.seed))
                 times.append(time.perf_counter() - t0)
             med = float(np.median(times))
-            rows.append((alg, n, med))
-            print(f"{alg:10s} n={n:6d} median {med:.4f}s over {args.reps} reps")
+            rows.append((alg, label, med))
+            print(f"{alg:10s} n={label:>6s} median {med:.4f}s over {args.reps} reps")
     with open(args.out, "w", newline="\n") as fh:
         fh.write("alg,n,median_seconds,reps\n")
-        for alg, n, med in rows:
-            fh.write(f"{alg},{n},{med:.17g},{args.reps}\n")
+        for alg, label, med in rows:
+            fh.write(f"{alg},{label},{med:.17g},{args.reps}\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -32,7 +32,13 @@ from .random import RngSeed, as_seed, gaussian_matrix
 
 
 class RankCollapseError(Exception):
-    """A sample matrix collapsed to exact zero or overflowed."""
+    """A sample matrix collapsed to exact zero, or an intermediate overflowed."""
+
+
+# power_urv with q >= 1 runs on the R factor of inputs with at least this
+# many rows per column: measured, the extra QR and GEMM break even at
+# about 1.5-2 and save 12-18% at 2
+_TALL_RATIO = 2
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,13 @@ class RsvdFactorization:
     v: np.ndarray      # (n, ell)
     ell: int
     provenance: Provenance
+
+
+def _finite(x, stage: str):
+    """``x`` itself; a non-finite entry is an overflow during ``stage``."""
+    if not np.isfinite(x).all():
+        raise RankCollapseError(f"{stage} overflowed")
+    return x
 
 
 def _orth(y, warnings: list[str], stage: str):
@@ -124,6 +137,15 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     ``q = 0`` is exactly ``ddh_urv`` (same Gaussian draw, same code
     path, bit-identical factors).
 
+    A tall input (``q >= 1`` and ``m >= 2n``) is first reduced to its
+    n x n triangular factor, ``A = Q0 R0``, as LAPACK's SVD routines do
+    (Chan's R-SVD).  The power iteration and ``R0 V = U' R`` then run on
+    R0, and ``U = Q0 U'``.  Since ``R0^T R0 = A^T A`` the factors are the
+    same as on the direct path up to roundoff, but the 2q + 1 products
+    with A and the QRs of m x n samples shrink to n x n ones.  With
+    ``q = 0`` the one product with A is cheaper than the extra QR, so
+    the direct path is kept.
+
     Parameters
     ----------
     a : array_like, shape (m, n)
@@ -147,10 +169,17 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
         raise ValueError("q must be nonnegative")
     seed = as_seed(seed)
     warnings: list[str] = []
+    tall = q >= 1 and m >= _TALL_RATIO * n
+    # a non-finite R0 makes the first sample non-finite, which _orth and
+    # _powered_sample report as an overflow
+    q0, b = householder_qr(a) if tall else (None, a)
     g = gaussian_matrix(n, n, seed)
-    y = _powered_sample(a, g, q, reorth, warnings)
+    y = _powered_sample(b, g, q, reorth, warnings)
     v = _orth(y, warnings, "right-factor QR")
-    u, r = householder_qr(a @ v)
+    u, r = householder_qr(_finite(b @ v, "product A V"))
+    _finite(r, "QR of A V")
+    if tall:
+        u = q0 @ u
     prov = Provenance("powerurv", q=q, reorth=reorth, seed=seed, warnings=tuple(warnings))
     return UrvFactorization(u, r, v, prov)
 
@@ -180,8 +209,9 @@ def qlp(a) -> UrvFactorization:
         raise ValueError(f"qlp requires rows >= cols, got {m}x{n}")
     first = cpqr(a.T)
     b = np.empty((m, n))
-    b[first.perm, :] = first.r.T
+    b[first.perm, :] = _finite(first.r, "first pivoted QR").T
     second = cpqr(b)
+    _finite(second.r, "second pivoted QR")
     v = first.q[:, second.perm]
     prov = Provenance("qlp", seed=None)
     return UrvFactorization(second.q, second.r, v, prov)

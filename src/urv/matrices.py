@@ -184,6 +184,13 @@ def gen_kahan(n: int = DEFAULT_KAHAN_N, theta: float = DEFAULT_KAHAN_THETA) -> n
     return (s ** np.arange(n))[:, None] * t
 
 
+def matrix_streams(spec: MatrixSpec) -> dict:
+    """The named Philox streams ``from_spec`` draws (none for bie and kahan)."""
+    if spec.kind in ("bie", "kahan"):
+        return {}
+    return {"matrix_u": spec.seed.spawn(_U_STREAM), "matrix_v": spec.seed.spawn(_V_STREAM)}
+
+
 def from_spec(spec: MatrixSpec):
     """Instantiate a benchmark matrix from its spec.
 

@@ -25,6 +25,27 @@ def test_bench_row_count(tmp_path, capsys):
     assert manifest["wall_time_s"] > 0
 
 
+def test_manifest_streams(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["bench", "--matrix", "slow", "--alg", "ddh", "--seed", "7",
+                 "--out", str(out)]) == 0
+    streams = json.loads((tmp_path / "s.json").read_text())["streams"]
+    seed = urv.RngSeed(7)
+    assert streams == {
+        "matrix_u": list(seed.spawn(urv.matrices._U_STREAM)),
+        "matrix_v": list(seed.spawn(urv.matrices._V_STREAM)),
+        "sketch": list(seed),
+    }
+    # bie and file inputs draw no matrix streams
+    src = tmp_path / "input.bin"
+    urv.save_matrix_binary(src, urv.gaussian_matrix(30, 20, urv.RngSeed(5)))
+    for matrix in ("bie", f"file:{src}"):
+        assert main(["bench", "--matrix", matrix, "--alg", "ddh", "--seed", "7",
+                     "--out", str(out)]) == 0
+        streams = json.loads((tmp_path / "s.json").read_text())["streams"]
+        assert streams == {"sketch": list(seed)}
+
+
 def test_ddh_equals_powerurv_q0_bytes(tmp_path):
     out1 = tmp_path / "ddh.csv"
     out2 = tmp_path / "p0.csv"
@@ -132,6 +153,19 @@ def test_sample_overflow_exit_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["ddh", "qlp"])
+def test_factor_overflow_exit_2(tmp_path, capsys, alg):
+    # max|a| = 1.5e308: A V (ddh) or the pivoted R factor (qlp) overflows
+    a, _ = urv.gen_slow_decay(60, 40, seed=0)
+    src = tmp_path / "huge.bin"
+    urv.save_matrix_binary(src, (a / np.abs(a).max()) * 1.5e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["bench", "--matrix", f"file:{src}", "--alg", alg,
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_timing_command(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code = main(["timing", "--sizes", "64,96", "--reps", "2", "--algs", "qr,cpqr",
@@ -142,3 +176,20 @@ def test_timing_command(tmp_path, capsys):
     assert len(lines) == 1 + 4  # 2 algorithms x 2 sizes
     times = [float(ln.split(",")[2]) for ln in lines[1:]]
     assert all(t > 0 for t in times)
+
+
+def test_timing_tall_sizes(tmp_path, capsys):
+    square, mixed = tmp_path / "sq.csv", tmp_path / "mx.csv"
+    args = ["timing", "--reps", "1", "--algs", "qr,powerurv"]
+    assert main(args + ["--sizes", "48", "--out", str(square)]) == 0
+    assert main(args + ["--sizes", "48,96x32", "--out", str(mixed)]) == 0
+    printed = capsys.readouterr().out
+    assert "powerurv   n= 96x32 median" in printed
+    assert "powerurv   n=    48 median" in printed
+    rows = mixed.read_text().splitlines()
+    assert rows[0] == "alg,n,median_seconds,reps"
+    assert [r.split(",")[:2] for r in rows[1:]] == [
+        ["qr", "48"], ["powerurv", "48"], ["qr", "96x32"], ["powerurv", "96x32"]]
+    assert square.read_text().splitlines()[1].split(",")[:2] == ["qr", "48"]
+    for bad in ("32x96", "4x4x4", "axb"):
+        assert main(args + ["--sizes", bad, "--out", str(mixed)]) == 1

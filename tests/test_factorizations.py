@@ -5,6 +5,7 @@ import pytest
 
 import urv
 from urv.core import EPS
+from urv.factorizations import _TALL_RATIO, _orth, _powered_sample
 
 from conftest import reconstruction_error
 
@@ -97,6 +98,59 @@ class TestPowerUrv:
     def test_rejects_negative_q(self):
         with pytest.raises(ValueError):
             urv.power_urv(np.eye(3), q=-1, seed=0)
+
+
+def _direct_power_urv(a, q, reorth, seed):
+    """power_urv's body run on ``a`` itself, never on its R factor."""
+    warnings = []
+    g = urv.gaussian_matrix(a.shape[1], a.shape[1], urv.as_seed(seed))
+    y = _powered_sample(a, g, q, reorth, warnings)
+    v = _orth(y, warnings, "right-factor QR")
+    u, r = urv.householder_qr(a @ v)
+    return u, r, v, tuple(warnings)
+
+
+class TestPowerUrvTallPath:
+    N = 20
+
+    @pytest.mark.parametrize("q,reorth", [(1, True), (2, True), (1, False), (2, False)])
+    def test_below_switch_is_direct_bitwise(self, q, reorth):
+        a, _ = urv.gen_slow_decay(_TALL_RATIO * self.N - 1, self.N, seed=1)
+        f = urv.power_urv(a, q=q, reorth=reorth, seed=3)
+        u, r, v, warnings = _direct_power_urv(a, q, reorth, 3)
+        assert np.array_equal(f.u, u) and np.array_equal(f.r, r) and np.array_equal(f.v, v)
+        assert f.provenance.warnings == warnings
+
+    @pytest.mark.parametrize("rows_per_col", [_TALL_RATIO, 8])
+    @pytest.mark.parametrize("q,reorth", [(1, True), (2, True), (1, False), (2, False)])
+    def test_matches_direct_to_roundoff(self, rows_per_col, q, reorth):
+        n = self.N
+        a, _ = urv.gen_slow_decay(rows_per_col * n, n, seed=1)
+        f = urv.power_urv(a, q=q, reorth=reorth, seed=3)
+        u, r, v, _ = _direct_power_urv(a, q, reorth, 3)
+        # V is the Q factor of a sample whose condition number grows like
+        # cond(A)**(2q) without reorthonormalization
+        kappa = np.linalg.cond(a) ** (1 if reorth else 2 * q)
+        tol = n * EPS * kappa
+        assert np.abs(f.u - u).max() <= tol
+        assert np.abs(f.v - v).max() <= tol
+        assert np.abs(f.r - r).max() <= tol * np.linalg.norm(r)
+        _urv_invariants(f, a)
+
+    @pytest.mark.parametrize("q,reorth", [(1, True), (2, True), (2, False)])
+    def test_rank_deficiency_warnings_unchanged(self, q, reorth):
+        # the null space is spanned by coordinate vectors, so the deficient
+        # diagonal entries are exact zeros on both paths
+        a = np.zeros((4 * self.N, self.N))
+        a[:3, :3] = urv.gaussian_matrix(3, 3, urv.RngSeed(12))
+        f = urv.power_urv(a, q=q, reorth=reorth, seed=4)
+        assert f.provenance.warnings
+        assert f.provenance.warnings == _direct_power_urv(a, q, reorth, 4)[3]
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_lemma_on_tall_input(self, q):
+        a, _ = urv.gen_slow_decay(8 * 40, 40, seed=2)
+        assert urv.lemma_check(a, 10, q=q, seed=5) <= 1e-12
 
 
 class TestQlp:
@@ -249,6 +303,22 @@ class TestCrossAlgorithmProperties:
             if reorth:
                 with pytest.raises(urv.RankCollapseError, match="overflow"):
                     urv.rsvd(b, 40, q=1)
+
+    @pytest.mark.parametrize("alg", ["ddh", "powerurv_q1", "qlp"])
+    @pytest.mark.parametrize("case", ["entries", "column_norm"])
+    def test_factor_overflow_is_numerical_error(self, alg, case):
+        # both inputs are tall, so powerurv_q1 overflows in its R0 factor
+        if case == "entries":
+            # max|a| = 1.5e308: A V (ddh) or the first pivoted R (qlp) overflows
+            a, _ = urv.gen_slow_decay(120, 40, seed=0)
+            b = (a / np.abs(a).max()) * 1.5e308
+        else:
+            # A V and the first pivoted R are finite; the column norm 2e308
+            # on the diagonal of the final R is not
+            b = np.full((4, 1), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(urv.RankCollapseError, match="overflow"):
+                _SCALED_RUNS[alg](b)
 
     def test_eckart_young_bound(self, matrix_sshape):
         a, _ = matrix_sshape
