@@ -11,7 +11,12 @@ Three subcommands drive the library end to end:
     median wall-clock times of the factorization kernels over a size
     sweep (informational; never part of acceptance gating)
 
-Exit codes: 0 success, 1 invalid arguments, 2 numerical failure.
+Both ``bench`` and ``timing`` run the algorithms through one table,
+``_ALGORITHMS``: each name maps to the call made on the parsed flags and
+to the flags that call reads, which also decide what the manifest records.
+
+Exit codes: 0 success, 1 invalid arguments or file errors, 2 numerical
+failure.
 
 Every CSV is accompanied by a manifest carrying the matrix spec, the
 algorithm parameters, the seed, and the library version: with the same
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -114,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--q", type=int, default=1)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", default="timing.csv")
+    t.set_defaults(no_reorth=False)
     return p
 
 
@@ -148,42 +155,52 @@ def _cpqr_as_urv(a) -> UrvFactorization:
     return UrvFactorization(res.q, res.r, v, Provenance("cpqr", seed=None))
 
 
+# Each call looks its function up in this module when it runs, so that
+# patching ``urv.cli.<name>`` reaches it.
+_ALGORITHMS = {
+    "qr": (lambda a, args: householder_qr(a), ()),
+    "cpqr": (lambda a, args: _cpqr_as_urv(a), ()),
+    "ddh": (lambda a, args: ddh_urv(a, RngSeed(args.seed)), ("seed",)),
+    "powerurv": (lambda a, args: power_urv(a, q=args.q, reorth=not args.no_reorth,
+                                            seed=RngSeed(args.seed)),
+                 ("seed", "q", "reorth")),
+    "qlp": (lambda a, args: qlp(a), ()),
+    "rsvd": (lambda a, args: rsvd(a, args.ell, q=args.q, reorth=not args.no_reorth,
+                                  seed=RngSeed(args.seed)),
+             ("seed", "q", "reorth", "ell")),
+}
+
+
 def _run_bench(args) -> int:
     spec, a = _resolve_matrix(args)
-    reorth = not args.no_reorth
-    seed = RngSeed(args.seed)
+    call, reads = _ALGORITHMS[args.alg]
+    if "ell" in reads and args.ell is None:
+        raise UsageError(f"--alg {args.alg} requires --ell")
     t0 = time.perf_counter()
-    if args.alg == "ddh":
-        fac = ddh_urv(a, seed)
-    elif args.alg == "powerurv":
-        fac = power_urv(a, q=args.q, reorth=reorth, seed=seed)
-    elif args.alg == "qlp":
-        fac = qlp(a)
-    elif args.alg == "cpqr":
-        fac = _cpqr_as_urv(a)
-    else:
-        if args.ell is None:
-            raise UsageError("--alg rsvd requires --ell")
-        fac = rsvd(a, args.ell, q=args.q, reorth=reorth, seed=seed)
+    fac = call(a, args)
     wall = time.perf_counter() - t0
 
     sigma_ref = reference_singular_values(a)
     rev = reveal_profile(fac, sigma_ref=sigma_ref)
     err = error_profile(a, fac, sigma_ref, reveal=rev)
-    out = args.out or f"{args.matrix.replace(':', '_')}_{args.alg}.csv"
+    source = args.matrix if spec else "file:" + os.path.basename(args.matrix[len("file:"):])
+    out = args.out or f"{source.replace(':', '_')}_{args.alg}.csv"
     write_profile_csv(out, err, rev)
 
+    seed = RngSeed(args.seed)
     streams = {k: list(s) for k, s in matrix_streams(spec).items()} if spec else {}
+    if "seed" in reads:
+        streams["sketch"] = list(seed)
     manifest = {
         "spec": json.loads(spec.to_json()) if spec else {"file": args.matrix},
         "algorithm": {
             "name": args.alg,
-            "q": args.q if args.alg in ("powerurv", "rsvd") else None,
-            "reorth": reorth if args.alg in ("powerurv", "rsvd") else None,
-            "ell": args.ell if args.alg == "rsvd" else None,
+            "q": args.q if "q" in reads else None,
+            "reorth": not args.no_reorth if "reorth" in reads else None,
+            "ell": args.ell if "ell" in reads else None,
         },
         "seed": {"seed": seed.seed, "stream": seed.stream},
-        "streams": {**streams, "sketch": list(seed)},
+        "streams": streams,
         "wall_time_s": wall,
         "library_version": __version__,
         "outputs": [str(out)],
@@ -192,7 +209,7 @@ def _run_bench(args) -> int:
     if warnings:
         manifest["warnings"] = list(warnings)
         print("\n".join(warnings), file=sys.stderr)
-    manifest_path = str(out).rsplit(".", 1)[0] + ".json"
+    manifest_path = os.path.splitext(out)[0] + ".json"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -206,21 +223,6 @@ def _run_lemma(args) -> int:
                     reorth=not args.no_reorth)
     print(f"lemma discrepancy: {d:.17g}")
     return 0
-
-
-def _timing_once(alg, a, q, seed):
-    if alg == "qr":
-        householder_qr(a)
-    elif alg == "cpqr":
-        cpqr(a)
-    elif alg == "ddh":
-        ddh_urv(a, seed)
-    elif alg == "powerurv":
-        power_urv(a, q=q, seed=seed)
-    elif alg == "qlp":
-        qlp(a)
-    else:
-        raise UsageError(f"unknown timing algorithm {alg!r}")
 
 
 def _parse_size(entry: str):
@@ -237,6 +239,8 @@ def _parse_size(entry: str):
 
 
 def _run_timing(args) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     sizes = [_parse_size(s) for s in args.sizes.split(",") if s]
     algs = [s.strip() for s in args.algs.split(",") if s.strip()]
     for alg in algs:
@@ -246,10 +250,11 @@ def _run_timing(args) -> int:
     for m, n, label in sizes:
         a = gaussian_matrix(m, n, RngSeed(args.seed))
         for alg in algs:
+            call = _ALGORITHMS[alg][0]
             times = []
-            for _ in range(max(1, args.reps)):
+            for _ in range(args.reps):
                 t0 = time.perf_counter()
-                _timing_once(alg, a, args.q, RngSeed(args.seed))
+                call(a, args)
                 times.append(time.perf_counter() - t0)
             med = float(np.median(times))
             rows.append((alg, label, med))
@@ -271,10 +276,7 @@ def main(argv=None) -> int:
         if args.command == "lemma":
             return _run_lemma(args)
         return _run_timing(args)
-    except UsageError as exc:
-        print(f"urv: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"urv: error: {exc}", file=sys.stderr)
         return 1
     except (RankCollapseError, np.linalg.LinAlgError) as exc:

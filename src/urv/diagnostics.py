@@ -238,18 +238,12 @@ def projection_error(a, u, k: int) -> float:
 
 
 def projection_error_curve(a, u, kmax=None) -> np.ndarray:
-    """``projection_error(a, u, k)`` for every k = 0..kmax at once."""
-    a = validated_matrix(a)
+    """``projection_error(a, u, k)`` for every k = 0..kmax."""
     if kmax is None:
         kmax = u.shape[1]
-    resid = a.astype(np.float64, copy=True)
-    errs = np.empty(kmax + 1)
-    for k in range(kmax + 1):
-        errs[k] = np.linalg.svd(resid, compute_uv=False)[0]
-        if k < kmax:
-            uk = u[:, k]
-            resid -= np.outer(uk, uk @ a)
-    return errs
+    if not 0 <= kmax <= u.shape[1]:
+        raise ValueError(f"kmax must be in [0, {u.shape[1]}], got {kmax}")
+    return np.array([projection_error(a, u, k) for k in range(kmax + 1)])
 
 
 def lemma_check(a, ell: int, q: int = 1, seed=0, reorth: bool = True) -> float:

@@ -86,11 +86,9 @@ def _orth(y, warnings: list[str], stage: str):
     A numerically rank-deficient sample is kept (with a recorded
     warning); exact total collapse and overflow are errors.
     """
-    amax = np.abs(y).max()
+    amax = _finite(np.abs(y).max(), f"sample matrix during {stage}")
     if amax == 0.0:
         raise RankCollapseError(f"sample matrix collapsed to zero during {stage}")
-    if not np.isfinite(amax):
-        raise RankCollapseError(f"sample matrix overflowed during {stage}")
     res = householder_qr(y)
     # diag(r) < EPS * ||y||_F, compared relative to amax so that neither
     # side overflows or underflows

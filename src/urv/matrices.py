@@ -30,8 +30,6 @@ import numpy as np
 from .core import householder_qr
 from .random import RngSeed, as_seed, gaussian_matrix
 
-KINDS = ("fast", "slow", "sshape", "bie", "kahan")
-
 DEFAULT_M = 200
 DEFAULT_N = 160
 DEFAULT_BIE_N = 200

@@ -44,6 +44,23 @@ def test_manifest_streams(tmp_path):
                      "--out", str(out)]) == 0
         streams = json.loads((tmp_path / "s.json").read_text())["streams"]
         assert streams == {"sketch": list(seed)}
+    # qlp and cpqr draw no sketch, so the manifest lists none; the seed stays
+    for alg in ("qlp", "cpqr"):
+        assert main(["bench", "--matrix", "bie", "--alg", alg, "--seed", "7",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "s.json").read_text())
+        assert "sketch" not in manifest["streams"]
+        assert manifest["seed"] == {"seed": 7, "stream": 0}
+
+
+def test_manifest_next_to_csv(tmp_path):
+    # a dot in a directory name must not cut the manifest path short
+    out_dir = tmp_path / "res.v2"
+    out_dir.mkdir()
+    assert main(["bench", "--matrix", "bie", "--alg", "qlp", "--out",
+                 str(out_dir / "prof")]) == 0
+    assert json.loads((out_dir / "prof.json").read_text())["outputs"] == [str(out_dir / "prof")]
+    assert not (tmp_path / "res.json").exists()
 
 
 def test_ddh_equals_powerurv_q0_bytes(tmp_path):
@@ -108,6 +125,23 @@ def test_bad_binary_header_exit_1(tmp_path, capsys):
     assert main(["bench", "--matrix", f"file:{src}", "--alg", "qlp",
                  "--out", str(tmp_path / "h.csv")]) == 1
     assert "urv: error:" in capsys.readouterr().err
+
+
+def test_file_errors_exit_1(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "in.bin"
+    urv.save_matrix_binary(src, urv.gaussian_matrix(30, 20, urv.RngSeed(5)))
+    assert main(["bench", "--matrix", f"file:{tmp_path / 'missing.bin'}",
+                 "--alg", "qlp", "--out", str(tmp_path / "m.csv")]) == 1
+    assert main(["bench", "--matrix", f"file:{src}", "--alg", "qlp",
+                 "--out", str(tmp_path / "no_dir" / "p.csv")]) == 1
+    assert capsys.readouterr().err.count("urv: error:") == 2
+    # the default output is named after the input's base name, in the cwd
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["bench", "--matrix", f"file:{src}", "--alg", "qlp"]) == 0
+    assert sorted(p.name for p in work.iterdir()) == ["file_in.bin_qlp.csv",
+                                                       "file_in.bin_qlp.json"]
 
 
 def test_numerical_failure_exit_2(tmp_path, capsys):
@@ -193,3 +227,12 @@ def test_timing_tall_sizes(tmp_path, capsys):
     assert square.read_text().splitlines()[1].split(",")[:2] == ["qr", "48"]
     for bad in ("32x96", "4x4x4", "axb"):
         assert main(args + ["--sizes", bad, "--out", str(mixed)]) == 1
+
+
+def test_timing_rejects_zero_reps(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    for reps in ("0", "-1"):
+        assert main(["timing", "--sizes", "16", "--reps", reps, "--algs", "qr",
+                     "--out", str(out)]) == 1
+    assert "--reps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

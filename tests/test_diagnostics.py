@@ -176,8 +176,10 @@ class TestProjectionError:
     def test_rejects_bad_k(self, matrix_slow):
         a, _ = matrix_slow
         f = urv.power_urv(a, 0, True, 8)
-        with pytest.raises(ValueError):
-            urv.projection_error(a, f.u, a.shape[1] + 1)
+        for fn in (urv.projection_error, urv.projection_error_curve):
+            for k in (a.shape[1] + 1, -1):
+                with pytest.raises(ValueError):
+                    fn(a, f.u, k)
 
 
 class TestLemmaCheck:
