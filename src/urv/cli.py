@@ -276,12 +276,13 @@ def main(argv=None) -> int:
         if args.command == "lemma":
             return _run_lemma(args)
         return _run_timing(args)
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"urv: error: {exc}", file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so it is caught first
     except (RankCollapseError, np.linalg.LinAlgError) as exc:
         print(f"urv: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError, OSError) as exc:
+        print(f"urv: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

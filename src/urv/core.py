@@ -57,7 +57,8 @@ def max_exponent(a) -> int:
     """Binary exponent e with max|a| in [2**(e-1), 2**e) (0 for a zero matrix).
 
     Scaling by ``2**-e`` is exact and brings the largest entry into
-    [1/2, 1), where squares can neither overflow nor underflow.
+    [1/2, 1), where squares can neither overflow nor underflow.  Used by
+    ``cpqr``, ``factorizations._rescaled`` and ``diagnostics.error_profile``.
     """
     return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 

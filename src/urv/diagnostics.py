@@ -23,11 +23,13 @@ takes that norm as its spectral error; every other rank, the
 roundoff-level tail, gets an exact SVD of its residual matrix.  RSVD
 profiles use exact residual SVDs up to rank ell.  Frobenius errors are
 exact at every rank.
+``error_profile`` measures ``a * 2**-max_exponent(a)`` and scales the
+norms back: exact, and free of overflow and underflow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -101,15 +103,6 @@ def reference_singular_values(a) -> np.ndarray:
     return np.concatenate([s, np.zeros(a.shape[1] + 1 - s.size)])
 
 
-def _frobenius(x, scale: int) -> float:
-    """||x||_F computed on x * 2**-scale, so squares neither overflow nor underflow.
-
-    The scaling is exact, so the result is bitwise the unscaled norm
-    wherever that stays in range.
-    """
-    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -scale)), scale))
-
-
 def _trailing_spectral_norms(r) -> np.ndarray:
     """||r[k:, k:]||_2 for k = 0..n (0 at k = n)."""
     n = r.shape[0]
@@ -119,7 +112,7 @@ def _trailing_spectral_norms(r) -> np.ndarray:
     return smax
 
 
-def _low_rank_errors(a, u, rows, exact, scale: int):
+def _low_rank_errors(a, u, rows, exact):
     """Residual norms of a - u[:, :k] @ rows[:k, :] for k = 0..u.shape[1].
 
     Frobenius norms are returned for every k, spectral norms only where
@@ -132,29 +125,29 @@ def _low_rank_errors(a, u, rows, exact, scale: int):
     for k in range(kmax + 1):
         if exact[k]:
             sp[k] = np.linalg.svd(resid, compute_uv=False)[0]
-        fro[k] = _frobenius(resid, scale)
+        fro[k] = np.linalg.norm(resid)
         if k < kmax:
             resid -= np.outer(u[:, k], rows[k, :])
     return sp, fro
 
 
-def _urv_errors(a, f: UrvFactorization, smax, scale: int):
+def _urv_errors(a, f: UrvFactorization, smax):
     """Per-rank errors of a URV factorization, certified where possible."""
     n = f.r.shape[0]
     rows = f.r @ f.v.T
     eye = np.eye(n)
     orth = np.linalg.norm(f.u.T @ f.u - eye) + np.linalg.norm(f.v.T @ f.v - eye)
-    eta = _frobenius(a - f.u @ rows, scale) + orth * smax
+    eta = np.linalg.norm(a - f.u @ rows) + orth * smax
     certified = smax > CERTIFY_FACTOR * eta
-    sp, fro = _low_rank_errors(a, f.u, rows, ~certified, scale)
+    sp, fro = _low_rank_errors(a, f.u, rows, ~certified)
     sp[certified] = smax[certified]
     return sp, fro
 
 
-def _rsvd_errors(a, f: RsvdFactorization, scale: int):
+def _rsvd_errors(a, f: RsvdFactorization):
     """Per-rank errors of an RSVD; ranks past ell repeat the rank-ell ones."""
     rows = f.sigma[:, None] * f.v.T
-    sp, fro = _low_rank_errors(a, f.u, rows, np.ones(f.ell + 1, bool), scale)
+    sp, fro = _low_rank_errors(a, f.u, rows, np.ones(f.ell + 1, bool))
     rank = np.minimum(np.arange(a.shape[1] + 1), f.ell)
     return sp[rank], fro[rank]
 
@@ -186,11 +179,13 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     if sigma_ref is None:
         sigma_ref = reference_singular_values(a)
     scale = max_exponent(a)
+    a = np.ldexp(a, -scale)
     if isinstance(f, RsvdFactorization):
-        sp, fro = _rsvd_errors(a, f, scale)
+        sp, fro = _rsvd_errors(a, replace(f, sigma=np.ldexp(f.sigma, -scale)))
     else:
         smax = _trailing_spectral_norms(f.r) if reveal is None else reveal.smax_r22
-        sp, fro = _urv_errors(a, f, smax, scale)
+        sp, fro = _urv_errors(a, replace(f, r=np.ldexp(f.r, -scale)), np.ldexp(smax, -scale))
+    sp, fro = np.ldexp(sp, scale), np.ldexp(fro, scale)
     return ErrorProfile(
         k=np.arange(n + 1),
         abs_spectral=sp,

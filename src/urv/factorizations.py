@@ -27,12 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import EPS, householder_qr, cpqr, svd, validated_matrix
+from .core import EPS, householder_qr, cpqr, max_exponent, svd, validated_matrix
 from .random import RngSeed, as_seed, gaussian_matrix
 
 
 class RankCollapseError(Exception):
-    """A sample matrix collapsed to exact zero, or an intermediate overflowed."""
+    """A sample of a zero input, or an overflow: sigma_1 beyond the double range."""
 
 
 # power_urv with q >= 1 runs on the R factor of inputs with at least this
@@ -80,45 +80,44 @@ def _finite(x, stage: str):
     return x
 
 
+def _rescaled(y):
+    """``y`` scaled in place by ``2**-max_exponent(y)``: exact, so its QR's Q is unchanged."""
+    return np.ldexp(y, -max_exponent(y), out=y)
+
+
 def _orth(y, warnings: list[str], stage: str):
     """Orthonormal basis of the columns of y via unpivoted QR.
 
-    A numerically rank-deficient sample is kept (with a recorded
-    warning); exact total collapse and overflow are errors.
+    y is rescaled in place, since a copy raises peak memory: every caller
+    passes a fresh product, the Gaussian draw or the previous Q and never
+    reads it again.  A numerically rank-deficient sample is kept (with a
+    recorded warning); a zero or non-finite one is an error.
     """
-    amax = _finite(np.abs(y).max(), f"sample matrix during {stage}")
-    if amax == 0.0:
+    y = _rescaled(y)
+    # max|y| is now in [1/2, 1), so the norm is finite exactly when y is
+    norm = _finite(np.linalg.norm(y), f"sample matrix during {stage}")
+    if norm == 0.0:
         raise RankCollapseError(f"sample matrix collapsed to zero during {stage}")
     res = householder_qr(y)
-    # diag(r) < EPS * ||y||_F, compared relative to amax so that neither
-    # side overflows or underflows
-    rel_norm = np.linalg.norm(y / amax)
-    deficient = int(np.sum(np.diagonal(res.r) / amax < EPS * rel_norm))
+    deficient = int(np.sum(np.diagonal(res.r) < EPS * norm))
     if deficient:
         warnings.append(f"{stage}: {deficient} numerically rank-deficient sample columns")
     return res.q
 
 
 def _powered_sample(a, g, q: int, reorth: bool, warnings: list[str]):
-    """Apply q power-iteration steps (A^T A)^q to the sample ``g``."""
+    """Apply q power-iteration steps (A^T A)^q to the sample ``g``.
+
+    Without ``reorth`` every product is rescaled; a zero or overflowed
+    sample is reported by the caller's final ``_orth``.
+    """
     y = g
-    if reorth:
-        for i in range(q):
+    for i in range(q):
+        if reorth:
             y = _orth(a @ y, warnings, f"power step {i + 1} (after A)")
             y = _orth(a.T @ y, warnings, f"power step {i + 1} (after A^T)")
-    else:
-        for _ in range(q):
-            y = a.T @ (a @ y)
-        if q and not y.any():
-            raise RankCollapseError(
-                "power iteration underflowed to the zero matrix; "
-                "re-enable reorthonormalization or reduce q"
-            )
-        if q and not np.isfinite(y).all():
-            raise RankCollapseError(
-                "power iteration overflowed; "
-                "re-enable reorthonormalization or reduce q"
-            )
+        else:
+            y = _rescaled(a.T @ _rescaled(a @ y))
     return y
 
 
@@ -130,7 +129,7 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     Y, and factors ``A V = U R`` with a second unpivoted QR.  With
     ``reorth`` the sample is reorthonormalized after every application
     of A and of A^T, which is the stabilized form of subspace iteration;
-    without it the iterated products are formed directly.
+    without it each product is only rescaled by an exact power of two.
 
     ``q = 0`` is exactly ``ddh_urv`` (same Gaussian draw, same code
     path, bit-identical factors).
@@ -168,8 +167,7 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     seed = as_seed(seed)
     warnings: list[str] = []
     tall = q >= 1 and m >= _TALL_RATIO * n
-    # a non-finite R0 makes the first sample non-finite, which _orth and
-    # _powered_sample report as an overflow
+    # _orth reports a non-finite R0 as an overflow of the sample
     q0, b = householder_qr(a) if tall else (None, a)
     g = gaussian_matrix(n, n, seed)
     y = _powered_sample(b, g, q, reorth, warnings)

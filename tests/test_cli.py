@@ -145,14 +145,25 @@ def test_file_errors_exit_1(tmp_path, monkeypatch, capsys):
 
 
 def test_numerical_failure_exit_2(tmp_path, capsys):
-    a = np.zeros((6, 4))
-    a[0, 0] = a[1, 1] = 1e-250
-    src = tmp_path / "tiny.csv"
-    urv.save_matrix_csv(src, a)
+    # the sample of an all-zero matrix collapses to zero
+    src = tmp_path / "zero.csv"
+    urv.save_matrix_csv(src, np.zeros((6, 4)))
     code = main(["bench", "--matrix", f"file:{src}", "--alg", "powerurv",
                  "--q", "1", "--no-reorth", "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_linalg_error_exit_2(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet it is a numerical failure
+    def fail(a):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(urv.cli, "reference_singular_values", fail)
+    code = main(["bench", "--matrix", "slow", "--m", "30", "--n", "20", "--alg", "ddh",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
 
 def _scaled_slow_file(tmp_path, amax):
@@ -179,12 +190,17 @@ def test_frobenius_near_overflow(tmp_path, capsys):
 
 
 def test_sample_overflow_exit_2(tmp_path, capsys):
-    src = _scaled_slow_file(tmp_path, 1e306)
-    with np.errstate(over="ignore"):
-        code = main(["bench", "--matrix", f"file:{src}", "--alg", "powerurv", "--q", "1",
-                     "--no-reorth", "--out", str(tmp_path / "o.csv")])
-    assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    # max|a| = 1e306 factors without reorthonormalization; at 1.5e308
+    # sigma_1 exceeds the double range
+    a, _ = urv.gen_slow_decay(60, 40, seed=0)
+    huge = tmp_path / "huge.bin"
+    urv.save_matrix_binary(huge, (a / np.abs(a).max()) * 1.5e308)
+    for src, expected in ((_scaled_slow_file(tmp_path, 1e306), 0), (huge, 2)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["bench", "--matrix", f"file:{src}", "--alg", "powerurv", "--q", "1",
+                         "--no-reorth", "--out", str(tmp_path / "o.csv")])
+        assert code == expected
+        assert ("numerical failure" in capsys.readouterr().err) == bool(expected)
 
 
 @pytest.mark.parametrize("alg", ["ddh", "qlp"])

@@ -80,10 +80,21 @@ class TestPowerUrv:
         _urv_invariants(f, a)
 
     def test_rank_collapse_without_reorth(self):
+        # the products of a tiny input are rescaled, so they do not underflow
+        c = 1e-250
         a = np.zeros((3, 2))
-        a[0, 0] = a[1, 1] = 1e-250
-        with pytest.raises(urv.RankCollapseError):
-            urv.power_urv(a, q=1, reorth=False, seed=0)
+        a[0, 0] = a[1, 1] = c
+        f = urv.power_urv(a, q=1, reorth=False, seed=0)
+        # measured in units of c, where the squares do not underflow
+        err = np.linalg.norm(f.u @ (f.r / c) @ f.v.T - a / c) / np.linalg.norm(a / c)
+        assert err <= 100 * 3 * EPS
+        s = urv.rsvd(a, 1, q=1, reorth=False, seed=0)
+        assert np.isfinite(s.u).all() and np.isfinite(s.v).all()
+        assert np.allclose(s.sigma / c, [1.0], rtol=100 * 3 * EPS, atol=0)
+        # only an exactly zero sample collapses
+        for run in (urv.power_urv, lambda z, **kw: urv.rsvd(z, 1, **kw)):
+            with pytest.raises(urv.RankCollapseError, match="zero"):
+                run(np.zeros((3, 2)), q=1, reorth=False, seed=0)
 
     def test_rank_collapse_zero_matrix(self):
         with pytest.raises(urv.RankCollapseError):
@@ -283,26 +294,40 @@ class TestCrossAlgorithmProperties:
         assert np.allclose(diag, diag_ref, rtol=1e-8, atol=0)
 
     def test_no_false_deficiency_near_overflow(self):
-        # max|a| = 1e307: the rank-deficiency threshold must not overflow
+        # max|a| = 1e307: neither the samples nor the rank-deficiency
+        # threshold may overflow, whatever the seed
         a, _ = urv.gen_slow_decay(60, 40, seed=0)
         c = 1e307 / np.abs(a).max()
-        ref, f = urv.power_urv(a, q=1, seed=0), urv.power_urv(c * a, q=1, seed=0)
-        assert f.provenance.warnings == ()
-        assert np.allclose(np.abs(np.diag(f.r)) / c, np.abs(np.diag(ref.r)), rtol=1e-8, atol=0)
+        for seed in range(8):
+            ref, f = urv.power_urv(a, q=1, seed=seed), urv.power_urv(c * a, q=1, seed=seed)
+            assert f.provenance.warnings == ()
+            assert all(np.isfinite(x).all() for x in (f.u, f.r, f.v))
+            err = np.linalg.norm(f.u @ (f.r / c) @ f.v.T - a) / np.linalg.norm(a)
+            assert err <= 100 * max(a.shape) * EPS
+            diag, diag_ref = np.abs(np.diag(f.r)) / c, np.abs(np.diag(ref.r))
+            assert np.allclose(diag, diag_ref, rtol=1e-8, atol=0)
         ref, f = urv.rsvd(a, 20, seed=0), urv.rsvd(c * a, 20, seed=0)
         assert f.provenance.warnings == ()
         assert np.allclose(f.sigma / c, ref.sigma, rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("reorth", [True, False])
     def test_sample_overflow_is_numerical_error(self, matrix_slow, reorth):
+        # max|a| = 1.5e308: sigma_1 exceeds the double range
         a, _ = matrix_slow
-        b = (a / np.abs(a).max()) * (1.5e308 if reorth else 1e306)
+        b = (a / np.abs(a).max()) * 1.5e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(urv.RankCollapseError, match="overflow"):
                 urv.power_urv(b, q=1, reorth=reorth)
-            if reorth:
-                with pytest.raises(urv.RankCollapseError, match="overflow"):
-                    urv.rsvd(b, 40, q=1)
+            with pytest.raises(urv.RankCollapseError, match="overflow"):
+                urv.rsvd(b, 40, q=1, reorth=reorth)
+        # max|a| = 1e306 factors: the rescaled samples stay in range
+        c = 1e306 / np.abs(a).max()
+        f = urv.power_urv(c * a, q=1, reorth=reorth)
+        err = np.linalg.norm(f.u @ (f.r / c) @ f.v.T - a) / np.linalg.norm(a)
+        assert err <= 100 * max(a.shape) * EPS
+        ref, s = urv.rsvd(a, 40, q=1, reorth=reorth), urv.rsvd(c * a, 40, q=1, reorth=reorth)
+        assert np.isfinite(s.u).all() and np.isfinite(s.v).all()
+        assert np.allclose(s.sigma / c, ref.sigma, rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("alg", ["ddh", "powerurv_q1", "qlp"])
     @pytest.mark.parametrize("case", ["entries", "column_norm"])
