@@ -271,6 +271,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0 <= args.seed < 1 << 64:
+            raise UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
         if args.command == "bench":
             return _run_bench(args)
         if args.command == "lemma":

@@ -251,14 +251,17 @@ def lemma_check(a, ell: int, q: int = 1, seed=0, reorth: bool = True) -> float:
     which is zero in exact arithmetic whenever the powered sample has
     full rank.  A numerically rank-deficient sample is recorded in the
     factorization provenances; the value is still returned but is not
-    meaningful in that case.
+    meaningful in that case.  Both norms are taken of arrays scaled by
+    ``2**-max_exponent(a)``, so they neither overflow nor underflow.
     """
     a = validated_matrix(a)
     purv = power_urv(a, q=q, reorth=reorth, seed=seed)
     rs = rsvd(a, ell, q=q, reorth=reorth, seed=seed)
     up = purv.u[:, :ell]
+    scale = max_exponent(a)
     diff = up @ (up.T @ a) - rs.u @ (rs.u.T @ a)
-    return float(np.linalg.norm(diff) / np.linalg.norm(a))
+    np.ldexp(diff, -scale, out=diff)
+    return float(np.linalg.norm(diff) / np.linalg.norm(np.ldexp(a, -scale)))
 
 
 def _flop_terms(algorithm: str, m: int, n: int, q: int):

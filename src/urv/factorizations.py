@@ -7,8 +7,8 @@ ddh_urv
     one multiply by a random Haar matrix followed by one unpivoted QR;
     extremely cheap, data-oblivious right factor
 power_urv
-    ddh_urv preceded by q steps of power iteration on the random matrix,
-    which aligns the right factor with the dominant row space
+    ddh_urv preceded by q power-iteration steps on the random matrix; the
+    Q of the last step is the right factor, aligned with the dominant row space
 qlp
     two column-pivoted QR factorizations (applied through the
     transpose), fully deterministic
@@ -23,7 +23,7 @@ factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,9 +89,9 @@ def _orth(y, warnings: list[str], stage: str):
     """Orthonormal basis of the columns of y via unpivoted QR.
 
     y is rescaled in place, since a copy raises peak memory: every caller
-    passes a fresh product, the Gaussian draw or the previous Q and never
-    reads it again.  A numerically rank-deficient sample is kept (with a
-    recorded warning); a zero or non-finite one is an error.
+    passes a fresh product or the Gaussian draw and never reads it again.
+    A numerically rank-deficient sample is kept (with a recorded
+    warning); a zero or non-finite one is an error.
     """
     y = _rescaled(y)
     # max|y| is now in [1/2, 1), so the norm is finite exactly when y is
@@ -105,20 +105,21 @@ def _orth(y, warnings: list[str], stage: str):
     return res.q
 
 
-def _powered_sample(a, g, q: int, reorth: bool, warnings: list[str]):
-    """Apply q power-iteration steps (A^T A)^q to the sample ``g``.
+def _sample_basis(a, g, steps: int, reorth: bool, warnings: list[str], stage: str):
+    """Q of the sample ``g`` after ``steps`` alternating products A, A^T, A, ...
 
-    Without ``reorth`` every product is rescaled; a zero or overflowed
-    sample is reported by the caller's final ``_orth``.
+    Randomized subspace iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4).
+    Intermediate samples are orthonormalized with ``reorth``, else rescaled;
+    the last one's ``_orth`` reports a zero or overflow under ``stage``.
     """
     y = g
-    for i in range(q):
-        if reorth:
-            y = _orth(a @ y, warnings, f"power step {i + 1} (after A)")
-            y = _orth(a.T @ y, warnings, f"power step {i + 1} (after A^T)")
-        else:
-            y = _rescaled(a.T @ _rescaled(a @ y))
-    return y
+    for i in range(steps):
+        y = (a.T if i % 2 else a) @ y
+        if reorth and i < steps - 1:
+            y = _orth(y, warnings, f"power step {i // 2 + 1} (after {'A^T' if i % 2 else 'A'})")
+        elif i < steps - 1:
+            y = _rescaled(y)
+    return _orth(y, warnings, stage)
 
 
 def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
@@ -127,8 +128,8 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     Draws an n x n Gaussian matrix G, applies q steps of power iteration
     ``Y = (A^T A)^q G``, takes V as the Q factor of an unpivoted QR of
     Y, and factors ``A V = U R`` with a second unpivoted QR.  With
-    ``reorth`` the sample is reorthonormalized after every application
-    of A and of A^T, which is the stabilized form of subspace iteration;
+    ``reorth`` the sample is orthonormalized after every application of
+    A and of A^T (subspace iteration), so V is the Q of the last step;
     without it each product is only rescaled by an exact power of two.
 
     ``q = 0`` is exactly ``ddh_urv`` (same Gaussian draw, same code
@@ -170,8 +171,7 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     # _orth reports a non-finite R0 as an overflow of the sample
     q0, b = householder_qr(a) if tall else (None, a)
     g = gaussian_matrix(n, n, seed)
-    y = _powered_sample(b, g, q, reorth, warnings)
-    v = _orth(y, warnings, "right-factor QR")
+    v = _sample_basis(b, g, 2 * q, reorth, warnings, "right-factor QR")
     u, r = householder_qr(_finite(b @ v, "product A V"))
     _finite(r, "QR of A V")
     if tall:
@@ -216,7 +216,7 @@ def qlp(a) -> UrvFactorization:
 def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorization:
     """Randomized SVD of rank ``ell`` with power iteration.
 
-    The sample ``Y = A (A^T A)^q G`` is built with the same
+    The sample ``Y = A (A^T A)^q G`` is built by the same sampler and
     reorthonormalization policy as ``power_urv`` and, at equal seed,
     with the same Gaussian draw restricted to its first ``ell`` columns
     (the column-major fill of ``gaussian_matrix`` guarantees the prefix
@@ -234,8 +234,7 @@ def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorizat
     seed = as_seed(seed)
     warnings: list[str] = []
     g = gaussian_matrix(n, ell, seed)
-    z = _powered_sample(a, g, q, reorth, warnings)
-    qq = _orth(a @ z, warnings, "range-finder QR")
+    qq = _sample_basis(a, g, 2 * q + 1, reorth, warnings, "range-finder QR")
     tall = (qq.T @ a).T
     w_t = svd(tall)  # tall = v_r diag(sigma) w^T
     u = qq @ w_t.v

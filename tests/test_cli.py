@@ -119,6 +119,20 @@ def test_invalid_args_exit_1(capsys):
     assert main(["bench", "--matrix", "slow", "--alg", "rsvd", "--ell", "900"]) == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_out_of_range_exit_1(tmp_path, capsys, seed):
+    # a seed keys the uint64 Philox generator
+    for argv in (["bench", "--matrix", "slow", "--alg", "ddh", "--out", str(tmp_path / "o.csv")],
+                 ["lemma", "--matrix", "slow", "--ell", "10"],
+                 ["timing", "--sizes", "16", "--algs", "ddh", "--out", str(tmp_path / "t.csv")]):
+        assert main(argv + ["--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err.count("urv: error: --seed must be in [0, 2**64)") == 3
+    assert not list(tmp_path.iterdir())
+    assert main(["lemma", "--matrix", "slow", "--m", "30", "--n", "20", "--ell", "5",
+                 "--seed", str(2**64 - 1)]) == 0
+
+
 def test_bad_binary_header_exit_1(tmp_path, capsys):
     src = tmp_path / "huge.bin"
     src.write_bytes(b"URVK1" + np.array([2**40, 2**40], dtype="<u8").tobytes() + bytes(16))
@@ -187,6 +201,13 @@ def test_frobenius_near_overflow(tmp_path, capsys):
     assert np.allclose(big[:, 2] / 1e307, ref[:, 2], rtol=1e-8, atol=1e-13)
     assert np.allclose(big[:, 4], ref[:, 4], rtol=1e-8, atol=1e-13)
     assert "rank-deficient" not in capsys.readouterr().err
+
+
+def test_lemma_near_overflow(tmp_path, capsys):
+    src = _scaled_slow_file(tmp_path, 1e307)
+    assert main(["lemma", "--matrix", f"file:{src}", "--ell", "10"]) == 0
+    value = float(capsys.readouterr().out.split(":")[1])
+    assert 0.0 < value <= 1e-12
 
 
 def test_sample_overflow_exit_2(tmp_path, capsys):

@@ -193,6 +193,14 @@ class TestLemmaCheck:
         a = _rank_r_matrix(30, 20, 3, 15)
         assert urv.lemma_check(a, 5, q=1, seed=2) <= 1e-10
 
+    @pytest.mark.parametrize("amax", [1e307, 1e-160, 1e-250])
+    def test_extreme_scale(self, amax):
+        # unscaled, ||A||_F overflows at 1e307 and underflows at 1e-250, and
+        # the roundoff-level ||diff||_F underflows to 0 at 1e-160
+        a, _ = urv.gen_slow_decay(60, 40, seed=0)
+        d = urv.lemma_check(a * (amax / np.abs(a).max()), 10)
+        assert 0.0 < d <= 1e-12
+
 
 class TestFlopEstimate:
     def test_powerurv_square_q1(self):

@@ -5,7 +5,7 @@ import pytest
 
 import urv
 from urv.core import EPS
-from urv.factorizations import _TALL_RATIO, _orth, _powered_sample
+from urv.factorizations import _TALL_RATIO, _sample_basis
 
 from conftest import reconstruction_error
 
@@ -115,10 +115,32 @@ def _direct_power_urv(a, q, reorth, seed):
     """power_urv's body run on ``a`` itself, never on its R factor."""
     warnings = []
     g = urv.gaussian_matrix(a.shape[1], a.shape[1], urv.as_seed(seed))
-    y = _powered_sample(a, g, q, reorth, warnings)
-    v = _orth(y, warnings, "right-factor QR")
+    v = _sample_basis(a, g, 2 * q, reorth, warnings, "right-factor QR")
     u, r = urv.householder_qr(a @ v)
     return u, r, v, tuple(warnings)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("reorth", [True, False])
+def test_qr_count(monkeypatch, q, reorth):
+    # with reorth the Q of the last power step is V: no QR re-factors it
+    calls = []
+
+    def counted(y):
+        calls.append(y.shape)
+        return urv.core.householder_qr(y)
+
+    monkeypatch.setattr(urv.factorizations, "householder_qr", counted)
+    # one QR per product with A or A^T, the last of which gives the basis
+    sample_qrs = max(2 * q, 1) if reorth else 1
+    for m, tall in ((30, 0), (80, int(q >= 1))):
+        a, _ = urv.gen_slow_decay(m, 20, seed=1)
+        calls.clear()
+        urv.power_urv(a, q=q, reorth=reorth, seed=3)
+        assert len(calls) == tall + sample_qrs + 1  # + R0, + the QR of A V
+        calls.clear()
+        urv.rsvd(a, 5, q=q, reorth=reorth, seed=3)
+        assert len(calls) == (2 * q + 1 if reorth else 1)
 
 
 class TestPowerUrvTallPath:

@@ -2,10 +2,13 @@
 
 The benchmark's tracer and self-test patch library functions at the module
 attributes through which they are called (``urv.cli.power_urv``, ...).
-These tests pin the names it patches and that the CLI calls through them.
+These tests pin the names it patches and that the CLI calls through them,
+and run the benchmark's self-test.
 """
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,10 @@ def test_bench_calls_through_cli_attribute(tmp_path, monkeypatch, alg, fn):
                          "--alg", alg, "--ell", "8",
                          "--out", str(tmp_path / "p.csv")]) == 0
     assert calls == [fn]
+
+
+def test_selftest_passes():
+    # tiny sizes, about 2 s; it writes only under the ignored .perfbench_out/
+    res = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=PERFBENCH.parent,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
