@@ -2,10 +2,13 @@
 """Operation counts and a small wall-clock sweep.
 
 Prints the leading-order flop models for each algorithm, split by
-kernel class.  PowerURV does noticeably more arithmetic than QLP, but
-all of it lives in matrix-matrix multiplies and unpivoted QR, which run
-far closer to peak than CPQR's column-norm updates; that is the whole
-trade.  The timing sweep at the end is informational (hardware
+kernel class.  PowerURV does noticeably more arithmetic than QLP; the
+paper's trade is that all of it lives in matrix-matrix multiplies and
+unpivoted QR, which run closer to peak than pivoted QR.  That holds
+against the level-2 hand-written ``urv.cpqr``, but QLP runs on LAPACK
+``geqp3``, which does half its flops in BLAS-3: on 2 cores at n = 1024
+QLP is no slower than PowerURV with q = 1.  The timing sweep at the end
+shows the three QRs side by side; it is informational (hardware
 dependent) and kept small so the demo stays fast.
 """
 
@@ -33,6 +36,7 @@ def main():
         a = urv.gaussian_matrix(size, size, urv.RngSeed(0))
         for name, fn in (
             ("qr", lambda: urv.householder_qr(a)),
+            ("geqp3", lambda: urv.core.pivoted_qr(a)),
             ("cpqr", lambda: urv.cpqr(a)),
             ("powerurv", lambda: urv.power_urv(a, q=1, seed=1)),
             ("qlp", lambda: urv.qlp(a)),

@@ -22,7 +22,9 @@ Every CSV is accompanied by a manifest carrying the matrix spec, the
 algorithm parameters, the seed, and the library version: with the same
 BLAS library and BLAS thread count, that tuple is enough to reproduce the
 CSV bit for bit (timing files excepted).  A different thread count can
-change the last bits, because the BLAS sums in a different order.
+change the last bits, because the BLAS sums in a different order.  The
+manifest records numpy's BLAS, numpy's version and every
+``*_NUM_THREADS`` environment variable, so that condition can be checked.
 """
 
 from __future__ import annotations
@@ -171,6 +173,13 @@ _ALGORITHMS = {
 }
 
 
+def _blas() -> dict:
+    """Name, version and configuration of numpy's BLAS, the one runtime every kernel uses."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "config": blas.get("openblas configuration")}
+
+
 def _run_bench(args) -> int:
     spec, a = _resolve_matrix(args)
     call, reads = _ALGORITHMS[args.alg]
@@ -180,9 +189,11 @@ def _run_bench(args) -> int:
     fac = call(a, args)
     wall = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     sigma_ref = reference_singular_values(a)
     rev = reveal_profile(fac, sigma_ref=sigma_ref)
     err = error_profile(a, fac, sigma_ref, reveal=rev)
+    diagnostics_wall = time.perf_counter() - t0
     source = args.matrix if spec else "file:" + os.path.basename(args.matrix[len("file:"):])
     out = args.out or f"{source.replace(':', '_')}_{args.alg}.csv"
     write_profile_csv(out, err, rev)
@@ -202,7 +213,11 @@ def _run_bench(args) -> int:
         "seed": {"seed": seed.seed, "stream": seed.stream},
         "streams": streams,
         "wall_time_s": wall,
+        "diagnostics_wall_s": diagnostics_wall,
         "library_version": __version__,
+        "numpy_version": np.__version__,
+        "blas": _blas(),
+        "num_threads_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
         "outputs": [str(out)],
     }
     warnings = getattr(fac.provenance, "warnings", ())

@@ -10,8 +10,8 @@ power_urv
     ddh_urv preceded by q power-iteration steps on the random matrix; the
     Q of the last step is the right factor, aligned with the dominant row space
 qlp
-    two column-pivoted QR factorizations (applied through the
-    transpose), fully deterministic
+    two column-pivoted QR factorizations (LAPACK ``geqp3``, applied
+    through the transpose), fully deterministic
 rsvd
     randomized truncated SVD with the same power iteration and, at equal
     seed, the same Gaussian draw as power_urv restricted to its first
@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EPS, householder_qr, cpqr, max_exponent, svd, validated_matrix
+from .core import EPS, householder_qr, max_exponent, pivoted_qr, svd, validated_matrix
+from .core import cpqr  # noqa: F401  unused here; perfbench traces factorizations.cpqr
 from .random import RngSeed, as_seed, gaussian_matrix
 
 
@@ -99,7 +100,10 @@ def _orth(y, warnings: list[str], stage: str):
     if norm == 0.0:
         raise RankCollapseError(f"sample matrix collapsed to zero during {stage}")
     res = householder_qr(y)
-    deficient = int(np.sum(np.diagonal(res.r) < EPS * norm))
+    # a deficient diagonal entry is roundoff of order EPS * norm; the factor
+    # n keeps the threshold above that noise, so the count is stable
+    # under roundoff-level changes (e.g. the tall path against the direct one)
+    deficient = int(np.sum(np.diagonal(res.r) < y.shape[1] * EPS * norm))
     if deficient:
         warnings.append(f"{stage}: {deficient} numerically rank-deficient sample columns")
     return res.q
@@ -197,16 +201,18 @@ def qlp(a) -> UrvFactorization:
     column-pivoted QR of ``(R1 P1^T)^T`` gives ``Q2 R2 P2^T``.  Then
     ``u = Q2``, ``r = R2`` and ``v = Q1 P2`` form a URV factorization
     whose diagonal of ``r`` tracks the singular values far better than
-    a single pivoted QR.
+    a single pivoted QR.  Both pivoted QRs are LAPACK ``geqp3``
+    (``core.pivoted_qr``), the BLAS-3 algorithm QLP was designed to run on
+    (Stewart 1999; Quintana-Orti, Sun & Bischof 1998).
     """
     a = validated_matrix(a)
     m, n = a.shape
     if m < n:
         raise ValueError(f"qlp requires rows >= cols, got {m}x{n}")
-    first = cpqr(a.T)
+    first = pivoted_qr(a.T)
     b = np.empty((m, n))
     b[first.perm, :] = _finite(first.r, "first pivoted QR").T
-    second = cpqr(b)
+    second = pivoted_qr(b)
     _finite(second.r, "second pivoted QR")
     v = first.q[:, second.perm]
     prov = Provenance("qlp", seed=None)

@@ -25,6 +25,20 @@ def test_bench_row_count(tmp_path, capsys):
     assert manifest["wall_time_s"] > 0
 
 
+def test_manifest_records_runtime(tmp_path, monkeypatch):
+    # what the reproducibility condition names: BLAS, its threads, numpy
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert main(["bench", "--matrix", "slow", "--m", "30", "--n", "20", "--alg", "qlp",
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    manifest = json.loads((tmp_path / "p.json").read_text())
+    assert set(manifest["blas"]) == {"name", "version", "config"}
+    assert "openblas" in manifest["blas"]["name"]
+    assert manifest["num_threads_env"]["OMP_NUM_THREADS"] == "2"
+    assert all(k.endswith("_NUM_THREADS") for k in manifest["num_threads_env"])
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["diagnostics_wall_s"] > 0
+
+
 def test_manifest_streams(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["bench", "--matrix", "slow", "--alg", "ddh", "--seed", "7",

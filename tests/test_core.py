@@ -4,12 +4,42 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import EPS
+from urv.core import EPS, _lapack, pivoted_qr
 
 from conftest import jacobi_eigenvalues
 
+def _signed_numpy_qr(a):
+    """numpy's LAPACK QR with the signs flipped to diag(r) >= 0."""
+    q, r = np.linalg.qr(a)
+    neg = np.diagonal(r) < 0.0
+    q[:, neg] *= -1.0
+    r[neg, :] *= -1.0
+    return q, r
+
+
+class TestLapackBinding:
+    def test_illegal_argument_is_linalg_error(self, capfd):
+        # lda = 1 < m = 3: LAPACK reports parameter 4 through info (and prints it)
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf failed with info = -4"):
+            _lapack("dgeqrf", 3, 2, np.zeros((3, 2), order="F"), 1, np.zeros(2))
+        assert "DGEQRF" in "".join(capfd.readouterr())
+
 
 class TestHouseholderQr:
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (5, 3), (200, 160), (700, 64)])
+    @pytest.mark.parametrize("layout", ["C", "F", "slice"])
+    def test_bitwise_numpy_oracle(self, shape, layout):
+        m, n = shape
+        a = np.random.default_rng(2).standard_normal((2 * m, 2 * n))
+        # every other row and column of a larger matrix is not contiguous
+        a = a[::2, ::2] if layout == "slice" else np.array(a[:m, :n], order=layout)
+        before = a.copy()
+        res = urv.householder_qr(a)
+        q, r = _signed_numpy_qr(a)
+        assert np.array_equal(a, before)
+        assert np.array_equal(res.q, q) and np.array_equal(res.r, r)
+        assert res.q.flags.c_contiguous and res.r.flags.c_contiguous
+
     def test_identity(self):
         res = urv.householder_qr(np.eye(3))
         assert np.array_equal(res.q, np.eye(3))
@@ -77,16 +107,59 @@ class TestHouseholderQr:
         assert np.allclose(res.r / c, ref.r, rtol=0, atol=bound * np.linalg.norm(a))
 
 
-class TestCpqr:
+class _PivotedQrContract:
+    """Contract shared by both column-pivoted kernels, run as ``kernel``."""
+
+    kernel = None
+
     def test_sorted_diagonal_kept(self):
-        res = urv.cpqr(np.diag([3.0, 2.0, 1.0]))
+        res = self.kernel(np.diag([3.0, 2.0, 1.0]))
         assert res.perm.tolist() == [0, 1, 2]
         assert np.allclose(np.abs(np.diag(res.r)), [3, 2, 1])
 
     def test_reversed_diagonal_pivoted(self):
-        res = urv.cpqr(np.diag([1.0, 2.0, 3.0]))
+        res = self.kernel(np.diag([1.0, 2.0, 3.0]))
         assert res.perm.tolist() == [2, 1, 0]
         assert np.allclose(np.abs(np.diag(res.r)), [3, 2, 1])
+
+    def test_ties_keep_lowest_index(self):
+        # equal norms pivot on the lowest index; the repeated column drops to zero
+        res = self.kernel(np.eye(4)[:, [0, 0, 1, 2]])
+        assert res.perm.tolist() == [0, 2, 3, 1]
+        assert np.array_equal(np.diag(res.r), [1.0, 1.0, 1.0, 0.0])
+        assert self.kernel(np.eye(5)).perm.tolist() == list(range(5))
+
+    @pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25), (10, 60), (1, 4)])
+    def test_invariants(self, shape):
+        # wide shapes are how qlp calls the kernel, on the transpose
+        a = urv.gaussian_matrix(*shape, urv.RngSeed(11))
+        res = self.kernel(a)
+        m, n = shape
+        k = min(m, n)
+        assert res.q.shape == (m, k) and res.r.shape == (k, n)
+        diag = np.diag(res.r)
+        assert (diag >= 0).all()
+        assert (np.diff(diag) <= 1e-14 * diag[0]).all()
+        assert np.array_equal(res.r, np.triu(res.r))
+        bound = 10 * max(m, n) * EPS
+        assert np.linalg.norm(res.q @ res.r - a[:, res.perm]) <= bound * np.linalg.norm(a)
+        assert np.linalg.norm(res.q.T @ res.q - np.eye(k)) <= bound
+        assert sorted(res.perm.tolist()) == list(range(n))
+
+    def test_matches_lapack_pivots(self):
+        # graded columns give unambiguous pivots; sequences must agree
+        import scipy.linalg as sla
+
+        rng = np.random.default_rng(1)
+        for shape in [(40, 25)] * 5 + [(25, 40)]:
+            a = rng.standard_normal(shape) * np.geomspace(1, 1e-6, shape[1])
+            res = self.kernel(a)
+            _, _, perm = sla.qr(a, pivoting=True)
+            assert np.array_equal(res.perm, perm)
+
+
+class TestCpqr(_PivotedQrContract):
+    kernel = staticmethod(urv.cpqr)
 
     def test_kahan_unrevealing(self):
         # pivoting stays put on Kahan's matrix and the last diagonal
@@ -98,30 +171,22 @@ class TestCpqr:
         ratio = abs(res.r[-1, -1]) / smin
         assert ratio == pytest.approx(4.8391436786357582, rel=1e-10)
 
-    @pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25)])
-    def test_invariants(self, shape):
-        a = urv.gaussian_matrix(*shape, urv.RngSeed(11))
-        res = urv.cpqr(a)
-        m, n = shape
-        k = min(m, n)
-        assert res.q.shape == (m, k) and res.r.shape == (k, n)
-        diag = np.abs(np.diag(res.r))
-        assert (np.diff(diag) <= 1e-14 * diag[0]).all()
-        bound = 10 * max(m, n) * EPS
-        assert np.linalg.norm(res.q @ res.r - a[:, res.perm]) <= bound * np.linalg.norm(a)
-        assert np.linalg.norm(res.q.T @ res.q - np.eye(k)) <= bound
-        assert sorted(res.perm.tolist()) == list(range(n))
 
-    def test_matches_lapack_pivots(self):
-        # graded columns give unambiguous pivots; sequences must agree
-        import scipy.linalg as sla
+class TestPivotedQr(_PivotedQrContract):
+    kernel = staticmethod(pivoted_qr)
 
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            a = rng.standard_normal((40, 25)) * np.geomspace(1, 1e-6, 25)
-            res = urv.cpqr(a)
-            _, _, perm = sla.qr(a, pivoting=True)
-            assert np.array_equal(res.perm, perm)
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_extreme_scale(self, c):
+        # factors of c*a are those of a, r rescaled, to roundoff: no overflow or underflow
+        a = urv.gaussian_matrix(60, 40, urv.RngSeed(4)) * np.geomspace(1, 1e-3, 40)
+        ref = pivoted_qr(a)
+        res = pivoted_qr(c * a)
+        assert np.array_equal(res.perm, ref.perm)
+        assert np.isfinite(res.q).all() and np.isfinite(res.r).all()
+        bound = 100 * 60 * EPS
+        assert np.linalg.norm(res.q @ (res.r / c) - a[:, res.perm]) <= bound * np.linalg.norm(a)
+        assert np.linalg.norm(res.q - ref.q) <= bound * np.sqrt(40)
+        assert np.allclose(res.r / c, ref.r, rtol=0, atol=bound * np.linalg.norm(a))
 
 
 class TestSvd:

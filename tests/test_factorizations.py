@@ -180,6 +180,17 @@ class TestPowerUrvTallPath:
         assert f.provenance.warnings
         assert f.provenance.warnings == _direct_power_urv(a, q, reorth, 4)[3]
 
+    @pytest.mark.parametrize("ratio", [_TALL_RATIO, 8])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("reorth", [True, False])
+    def test_rank_deficiency_count_stable(self, ratio, q, reorth):
+        # rank 3 with Haar factors: the deficient diagonal entries are roundoff
+        # noise, which the threshold must clear on both paths
+        for s in range(16):
+            a = _rank_r_matrix(ratio * self.N, self.N, 3, 100 + s)
+            f = urv.power_urv(a, q=q, reorth=reorth, seed=s)
+            assert f.provenance.warnings == _direct_power_urv(a, q, reorth, s)[3]
+
     @pytest.mark.parametrize("q", [1, 2])
     def test_lemma_on_tall_input(self, q):
         a, _ = urv.gen_slow_decay(8 * 40, 40, seed=2)
