@@ -23,7 +23,7 @@ algorithm parameters, the seed, and the library version: with the same
 BLAS library and BLAS thread count, that tuple is enough to reproduce the
 CSV bit for bit (timing files excepted).  A different thread count can
 change the last bits, because the BLAS sums in a different order.  The
-manifest records numpy's BLAS, numpy's version and every
+manifest records numpy's BLAS, the numpy and Python versions and every
 ``*_NUM_THREADS`` environment variable, so that condition can be checked.
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 
@@ -103,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--alg", required=True, choices=ALGORITHMS)
     b.add_argument("--q", type=int, default=1, help="power iteration steps")
     b.add_argument("--no-reorth", action="store_true",
-                   help="skip reorthonormalization between power steps")
+                   help="skip renormalization between power steps")
     b.add_argument("--ell", type=int, default=None, help="rsvd sample size")
     b.add_argument("--out", default=None, help="output CSV path")
 
@@ -216,6 +217,7 @@ def _run_bench(args) -> int:
         "diagnostics_wall_s": diagnostics_wall,
         "library_version": __version__,
         "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "blas": _blas(),
         "num_threads_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
         "outputs": [str(out)],

@@ -2,16 +2,18 @@
 
 LAPACK Householder QR normalized to diag(R) >= 0, LAPACK column-pivoted
 QR (``geqp3``, the BLAS-3 algorithm of Quintana-Orti, Sun & Bischof
-1998), a hand-written column-pivoted QR with norm downdating, a dense
-SVD, and spectral norms.  These are the building blocks for every
-factorization in the package.  All routines are pure functions of
-float64 arrays and never mutate their inputs.
+1998), a hand-written column-pivoted QR with norm downdating, the
+P L D basis of a LAPACK partial-pivoted LU (``getrf``, the renormalization
+of the intermediate power steps), a dense SVD, and spectral norms.
+These are the building blocks for every factorization in the package.
+All routines are pure functions of float64 arrays and never mutate
+their inputs.
 
-The two LAPACK QRs call the LAPACK inside numpy's own OpenBLAS through
-``ctypes``, so the package runs on one BLAS runtime and loads no second
-library.  numpy wheels built against scipy-openblas64 (tested: the 2.4.6
-wheel) export it as ILP64 ``scipy_<name>_64_``; on any other numpy build
-``import urv`` raises ``ImportError``.
+The two LAPACK QRs and the LU call the LAPACK inside numpy's own
+OpenBLAS through ``ctypes``, so the package runs on one BLAS runtime and
+loads no second library.  numpy wheels built against scipy-openblas64
+(tested: the 2.4.6 wheel) export it as ILP64 ``scipy_<name>_64_``; on
+any other numpy build ``import urv`` raises ``ImportError``.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ EPS = float(np.finfo(np.float64).eps)
 _INT = ctypes.POINTER(ctypes.c_int64)
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
-# argument types of each routine up to its trailing WORK, LWORK, INFO
+# argument types of each routine up to its trailing INFO, and whether a
+# workspace (WORK, LWORK) comes before INFO
 _SIGNATURES = {
-    "dgeqrf": (_INT, _INT, _F64, _INT, _F64),        # M, N, A, LDA, TAU
-    "dorgqr": (_INT, _INT, _INT, _F64, _INT, _F64),  # M, N, K, A, LDA, TAU
-    "dgeqp3": (_INT, _INT, _F64, _INT, _I64, _F64),  # M, N, A, LDA, JPVT, TAU
+    "dgeqrf": ((_INT, _INT, _F64, _INT, _F64), True),        # M, N, A, LDA, TAU
+    "dorgqr": ((_INT, _INT, _INT, _F64, _INT, _F64), True),  # M, N, K, A, LDA, TAU
+    "dgeqp3": ((_INT, _INT, _F64, _INT, _I64, _F64), True),  # M, N, A, LDA, JPVT, TAU
+    "dgetrf": ((_INT, _INT, _F64, _INT, _I64), False),       # M, N, A, LDA, IPIV
 }
 try:
     _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -41,7 +45,8 @@ except (AttributeError, OSError) as exc:
         f"for {', '.join(_SIGNATURES)}); numpy {np.__version__} does not export it: {exc}"
     ) from exc
 for _name, _fn in _LAPACK.items():
-    _fn.argtypes = [*_SIGNATURES[_name], _F64, _INT, _INT]
+    _types, _work = _SIGNATURES[_name]
+    _fn.argtypes = [*_types, *((_F64, _INT) if _work else ()), _INT]
     _fn.restype = None
 
 # Recompute a downdated column norm from scratch once it has shrunk below
@@ -62,6 +67,13 @@ class CpqrResult(NamedTuple):
     q: np.ndarray     # (m, k), k = min(m, n)
     r: np.ndarray     # (k, n), upper-trapezoidal
     perm: np.ndarray  # (n,), pivot order
+
+
+class LuBasis(NamedTuple):
+    """Partial-pivoted LU ``y = (P L D)(D U)`` reduced to a basis: see ``lu_basis``."""
+
+    pld: np.ndarray    # (m, n), P L D
+    udiag: np.ndarray  # (n,), |diag U|
 
 
 class SvdResult(NamedTuple):
@@ -93,26 +105,31 @@ def max_exponent(a) -> int:
     return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
 
-def _lapack(name: str, *args) -> None:
-    """Call the LAPACK routine ``name`` with ``args`` then WORK, LWORK, INFO.
+def _lapack(name: str, *args) -> int:
+    """Call the LAPACK routine ``name`` with ``args``, then WORK, LWORK if it takes them, INFO.
 
     Ints pass by reference as int64 (ILP64); arrays must be writeable and
     Fortran-contiguous, with the dtype of ``_SIGNATURES``.  A workspace
-    query picks the optimal LWORK, so blocked code runs.  A nonzero INFO
-    raises ``numpy.linalg.LinAlgError``.
+    query picks the optimal LWORK, so blocked code runs.  A negative INFO
+    (an illegal argument) raises ``numpy.linalg.LinAlgError``; INFO is
+    returned otherwise, since a positive one is a result (``dgetrf``: an
+    exact zero pivot), not a failure.
     """
     refs = [ctypes.byref(ctypes.c_int64(arg)) if isinstance(arg, int) else arg for arg in args]
     info = ctypes.c_int64(0)
 
-    def call(work, lwork):
-        _LAPACK[name](*refs, work, ctypes.byref(ctypes.c_int64(lwork)), ctypes.byref(info))
-        if info.value:
+    def call(*work):
+        _LAPACK[name](*refs, *work, ctypes.byref(info))
+        if info.value < 0:
             raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info.value}")
+        return info.value
 
+    if not _SIGNATURES[name][1]:
+        return call()
     query = np.zeros(1)
-    call(query, -1)
+    call(query, ctypes.byref(ctypes.c_int64(-1)))
     lwork = max(1, int(query[0]))
-    call(np.empty(lwork), lwork)
+    return call(np.empty(lwork), ctypes.byref(ctypes.c_int64(lwork)))
 
 
 def _householder(x):
@@ -178,6 +195,52 @@ def _positive_diagonal(q, r) -> QrResult:
     q[:, neg] *= -1.0
     r[neg, :] *= -1.0
     return QrResult(q, r)
+
+
+def lu_basis(y) -> LuBasis:
+    """Basis of the nested column spaces of ``y`` from a partial-pivoted LU.
+
+    LAPACK ``dgetrf`` gives ``y = P L U``; with ``D = sign(diag U)`` (+1
+    at a zero pivot) this returns ``P L D`` and ``|diag U|``, so that
+    ``y = (P L D)(D U)`` with ``diag(D U) >= 0``.  Since ``D U`` is upper
+    triangular, the first k columns of ``P L D`` span those of ``y`` for
+    every k, and wherever ``y`` has full rank the Q of a QR of ``P L D``
+    is exactly the Q of ``y``: the cheap renormalization of subspace
+    iteration (Halko, Martinsson & Tropp 2011, sec. 4.5), at a quarter
+    of the flops of ``householder_qr``.  An exact zero pivot (LAPACK
+    ``info > 0``) is a rank-deficient ``y``, not an error: its column of L
+    is zero below the diagonal and its entry of ``|diag U|`` is 0.
+
+    Parameters
+    ----------
+    y : array_like, shape (m, n)
+        Matrix to factor, m >= n, finite entries.
+
+    Returns
+    -------
+    LuBasis
+        ``pld`` (m, n), C-contiguous, with entries of magnitude at most 1
+        and a unit-magnitude entry in each column, and ``udiag`` (n,).
+    """
+    y = validated_matrix(y)
+    m, n = y.shape
+    if m < n:
+        raise ValueError(f"lu_basis requires rows >= cols, got {m}x{n}")
+    f = np.array(y, order="F")
+    ipiv = np.empty(n, dtype=np.int64)
+    _lapack("dgetrf", m, n, f, max(1, m), ipiv)
+    udiag = np.diagonal(f).copy()
+    # overwrite U with the unit diagonal of L, then scale column j by D_j
+    np.copyto(f[:n], 0.0, where=~np.tri(n, dtype=bool))
+    np.fill_diagonal(f, 1.0)
+    f *= np.where(udiag < 0.0, -1.0, 1.0)
+    # dgetrf swapped rows i and ipiv[i] - 1 of y in turn, so L D = (P L D)[rows]
+    rows = list(range(m))
+    for i, p in enumerate(ipiv.tolist()):
+        rows[i], rows[p - 1] = rows[p - 1], rows[i]
+    pld = np.empty((m, n))
+    pld[rows] = f
+    return LuBasis(pld, np.abs(udiag))
 
 
 def pivoted_qr(a) -> CpqrResult:

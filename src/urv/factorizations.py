@@ -27,7 +27,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EPS, householder_qr, max_exponent, pivoted_qr, svd, validated_matrix
+from .core import (
+    EPS,
+    householder_qr,
+    lu_basis,
+    max_exponent,
+    pivoted_qr,
+    svd,
+    validated_matrix,
+)
 from .core import cpqr  # noqa: F401  unused here; perfbench traces factorizations.cpqr
 from .random import RngSeed, as_seed, gaussian_matrix
 
@@ -86,41 +94,55 @@ def _rescaled(y):
     return np.ldexp(y, -max_exponent(y), out=y)
 
 
-def _orth(y, warnings: list[str], stage: str):
-    """Orthonormal basis of the columns of y via unpivoted QR.
+def _orth(y, warnings: list[str], stage: str, lu: bool = False):
+    """Basis of the columns of y: the Q of an unpivoted QR, or with ``lu`` an LU's P L D.
 
-    y is rescaled in place, since a copy raises peak memory: every caller
-    passes a fresh product or the Gaussian draw and never reads it again.
-    A numerically rank-deficient sample is kept (with a recorded
-    warning); a zero or non-finite one is an error.
+    The P L D factor of a partial-pivoted LU (``core.lu_basis``) and the Q
+    span the same nested column spaces, so the LU suits an intermediate
+    power step, whose basis only feeds the next product; it costs a
+    quarter of the QR's flops.  y is rescaled in place, since a copy
+    raises peak memory: every caller passes a fresh product or the
+    Gaussian draw and never reads it again.  A numerically rank-deficient
+    sample is kept (with a recorded warning); a zero or non-finite one is
+    an error.
     """
     y = _rescaled(y)
     # max|y| is now in [1/2, 1), so the norm is finite exactly when y is
     norm = _finite(np.linalg.norm(y), f"sample matrix during {stage}")
     if norm == 0.0:
         raise RankCollapseError(f"sample matrix collapsed to zero during {stage}")
-    res = householder_qr(y)
+    if lu:
+        basis, diag = lu_basis(y)
+    else:
+        basis, r = householder_qr(y)
+        diag = np.diagonal(r)
     # a deficient diagonal entry is roundoff of order EPS * norm; the factor
     # n keeps the threshold above that noise, so the count is stable
     # under roundoff-level changes (e.g. the tall path against the direct one)
-    deficient = int(np.sum(np.diagonal(res.r) < y.shape[1] * EPS * norm))
+    deficient = int(np.sum(diag < y.shape[1] * EPS * norm))
     if deficient:
         warnings.append(f"{stage}: {deficient} numerically rank-deficient sample columns")
-    return res.q
+    return basis
 
 
 def _sample_basis(a, g, steps: int, reorth: bool, warnings: list[str], stage: str):
     """Q of the sample ``g`` after ``steps`` alternating products A, A^T, A, ...
 
     Randomized subspace iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4).
-    Intermediate samples are orthonormalized with ``reorth``, else rescaled;
-    the last one's ``_orth`` reports a zero or overflow under ``stage``.
+    With ``reorth`` every intermediate sample is renormalized by the P L D
+    factor of its partial-pivoted LU (HMT sec. 4.5; Li et al., Algorithm
+    971, 2017), else rescaled by an exact power of two.  Only the last one
+    is orthonormalized, by QR, and reports a zero or overflow under
+    ``stage``.  Since the LU factor spans the sample's nested column spaces,
+    that Q is the one QR renormalization at every step gives, in exact
+    arithmetic.
     """
     y = g
     for i in range(steps):
         y = (a.T if i % 2 else a) @ y
         if reorth and i < steps - 1:
-            y = _orth(y, warnings, f"power step {i // 2 + 1} (after {'A^T' if i % 2 else 'A'})")
+            step = f"power step {i // 2 + 1} (after {'A^T' if i % 2 else 'A'})"
+            y = _orth(y, warnings, step, lu=True)
         elif i < steps - 1:
             y = _rescaled(y)
     return _orth(y, warnings, stage)
@@ -132,9 +154,14 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     Draws an n x n Gaussian matrix G, applies q steps of power iteration
     ``Y = (A^T A)^q G``, takes V as the Q factor of an unpivoted QR of
     Y, and factors ``A V = U R`` with a second unpivoted QR.  With
-    ``reorth`` the sample is orthonormalized after every application of
-    A and of A^T (subspace iteration), so V is the Q of the last step;
-    without it each product is only rescaled by an exact power of two.
+    ``reorth`` the sample is renormalized after every application of A
+    and of A^T but the last by the P L D factor of its partial-pivoted
+    LU, which spans the same nested column spaces as its Q (subspace
+    iteration with LU renormalization), so V is the Q of the last step
+    and, in exact arithmetic, that of QR renormalization; without it
+    each product is only rescaled by an exact power of two.  Either
+    way a call makes two QRs (three on the tall path) and, with
+    ``reorth`` and q >= 1, 2q - 1 LUs.
 
     ``q = 0`` is exactly ``ddh_urv`` (same Gaussian draw, same code
     path, bit-identical factors).
@@ -155,7 +182,7 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     q : int
         Number of power-iteration steps, >= 0.
     reorth : bool
-        Reorthonormalize between applications of A and A^T.
+        Renormalize between applications of A and A^T.
     seed : int or RngSeed
         Key of the Gaussian draw.
 
@@ -223,7 +250,8 @@ def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorizat
     """Randomized SVD of rank ``ell`` with power iteration.
 
     The sample ``Y = A (A^T A)^q G`` is built by the same sampler and
-    reorthonormalization policy as ``power_urv`` and, at equal seed,
+    renormalization policy as ``power_urv`` (with ``reorth``, an LU
+    after each of the first 2q products) and, at equal seed,
     with the same Gaussian draw restricted to its first ``ell`` columns
     (the column-major fill of ``gaussian_matrix`` guarantees the prefix
     matches bit for bit).  An unpivoted QR of Y gives the range basis Q;

@@ -1,6 +1,10 @@
 """Command line contract: flags, CSV schema, manifests, exit codes."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,7 +40,24 @@ def test_manifest_records_runtime(tmp_path, monkeypatch):
     assert manifest["num_threads_env"]["OMP_NUM_THREADS"] == "2"
     assert all(k.endswith("_NUM_THREADS") for k in manifest["num_threads_env"])
     assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
     assert manifest["diagnostics_wall_s"] > 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_csv_reproducible_at_fixed_thread_count(tmp_path, threads):
+    # the LU pivot order of the power steps, like every BLAS sum, is fixed
+    # once the thread count is; across thread counts the bytes may differ
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    csvs = []
+    for run in range(2):
+        out = tmp_path / f"run{run}.csv"
+        subprocess.run([sys.executable, "-m", "urv.cli", "bench", "--matrix", "bie",
+                        "--alg", "powerurv", "--q", "2", "--seed", "3", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_manifest_streams(tmp_path):

@@ -1,10 +1,11 @@
-"""Deterministic kernel tests: QR, CPQR, SVD, spectral norm."""
+"""Deterministic kernel tests: QR, CPQR, LU basis, SVD, spectral norm."""
 
 import numpy as np
 import pytest
 
 import urv
-from urv.core import EPS, _lapack, pivoted_qr
+from urv.core import EPS, _lapack, lu_basis, pivoted_qr
+from urv.factorizations import _orth
 
 from conftest import jacobi_eigenvalues
 
@@ -23,6 +24,9 @@ class TestLapackBinding:
         with pytest.raises(np.linalg.LinAlgError, match="dgeqrf failed with info = -4"):
             _lapack("dgeqrf", 3, 2, np.zeros((3, 2), order="F"), 1, np.zeros(2))
         assert "DGEQRF" in "".join(capfd.readouterr())
+        with pytest.raises(np.linalg.LinAlgError, match="dgetrf failed with info = -4"):
+            _lapack("dgetrf", 3, 2, np.zeros((3, 2), order="F"), 1, np.zeros(2, dtype=np.int64))
+        assert "DGETRF" in "".join(capfd.readouterr())
 
 
 class TestHouseholderQr:
@@ -187,6 +191,66 @@ class TestPivotedQr(_PivotedQrContract):
         assert np.linalg.norm(res.q @ (res.r / c) - a[:, res.perm]) <= bound * np.linalg.norm(a)
         assert np.linalg.norm(res.q - ref.q) <= bound * np.sqrt(40)
         assert np.allclose(res.r / c, ref.r, rtol=0, atol=bound * np.linalg.norm(a))
+
+
+class TestLuBasis:
+    SHAPES = [(1, 1), (30, 20), (200, 160), (512, 64), (4096, 64)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_scipy_lu(self, shape):
+        import scipy.linalg as sla
+
+        y = urv.gaussian_matrix(*shape, urv.RngSeed(7))
+        before = y.copy()
+        pld, udiag = lu_basis(y)
+        assert np.array_equal(y, before)
+        assert pld.shape == shape and udiag.shape == (shape[1],)
+        assert pld.flags.c_contiguous
+        pl, u = sla.lu(y, permute_l=True)
+        d = np.where(np.diagonal(u) < 0.0, -1.0, 1.0)
+        bound = 10 * max(shape) * EPS
+        assert np.allclose(pld, pl * d, rtol=0, atol=bound)
+        # y = (P L D)(D U) with diag(D U) = |diag U| >= 0
+        du = d[:, None] * u
+        assert np.allclose(udiag, np.diagonal(du), rtol=bound, atol=0)
+        assert np.linalg.norm(pld @ du - y) <= bound * np.linalg.norm(y)
+        # partial pivoting: |L| <= 1, with the pivot's +-1 in every column
+        assert np.array_equal(np.abs(pld).max(axis=0), np.ones(shape[1]))
+
+    @pytest.mark.parametrize("shape", SHAPES[1:])
+    def test_q_is_the_samples_q(self, shape):
+        # D U is upper triangular with a positive diagonal, so the QR of
+        # P L D has the Q of y: same nested spans, same signs
+        y = urv.gaussian_matrix(*shape, urv.RngSeed(8))
+        q = urv.householder_qr(lu_basis(y).pld).q
+        bound = 100 * max(shape) * EPS * np.linalg.cond(y)
+        assert np.abs(q - urv.householder_qr(y).q).max() <= bound
+
+    def test_one_by_one(self):
+        pld, udiag = lu_basis(np.array([[-3.0]]))
+        assert pld.tolist() == [[-1.0]] and udiag.tolist() == [3.0]
+
+    def test_exact_zero_pivot_is_deficient(self):
+        # a coordinate null space: dgetrf meets an exact zero pivot (info = 4)
+        y = np.zeros((6, 4))
+        y[:3, :3] = urv.gaussian_matrix(3, 3, urv.RngSeed(12))
+        info = _lapack("dgetrf", 6, 4, np.array(y, order="F"), 6, np.zeros(4, dtype=np.int64))
+        assert info == 4
+        pld, udiag = lu_basis(y)
+        assert udiag[3] == 0.0 and (udiag[:3] > 0).all()
+        assert np.isfinite(pld).all()
+        warnings = []
+        _orth(y, warnings, "stage", lu=True)
+        assert warnings == ["stage: 1 numerically rank-deficient sample columns"]
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 0)])
+    def test_empty(self, shape):
+        pld, udiag = lu_basis(np.zeros(shape))
+        assert pld.shape == shape and udiag.shape == (0,)
+
+    def test_rejects_wide(self):
+        with pytest.raises(ValueError):
+            lu_basis(np.ones((2, 3)))
 
 
 class TestSvd:

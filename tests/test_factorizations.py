@@ -126,21 +126,26 @@ def test_qr_count(monkeypatch, q, reorth):
     # with reorth the Q of the last power step is V: no QR re-factors it
     calls = []
 
-    def counted(y):
-        calls.append(y.shape)
-        return urv.core.householder_qr(y)
+    def counted(kernel):
+        def call(y):
+            calls.append(kernel)
+            return getattr(urv.core, kernel)(y)
+        return call
 
-    monkeypatch.setattr(urv.factorizations, "householder_qr", counted)
-    # one QR per product with A or A^T, the last of which gives the basis
-    sample_qrs = max(2 * q, 1) if reorth else 1
+    for kernel in ("householder_qr", "lu_basis"):
+        monkeypatch.setattr(urv.factorizations, kernel, counted(kernel))
+    # one LU per product with A or A^T but the last, whose QR gives the basis
+    power_lus = max(2 * q - 1, 0) if reorth else 0
     for m, tall in ((30, 0), (80, int(q >= 1))):
         a, _ = urv.gen_slow_decay(m, 20, seed=1)
         calls.clear()
         urv.power_urv(a, q=q, reorth=reorth, seed=3)
-        assert len(calls) == tall + sample_qrs + 1  # + R0, + the QR of A V
+        # + R0, + the QR of A V
+        assert calls.count("householder_qr") == tall + 1 + 1
+        assert calls.count("lu_basis") == power_lus
         calls.clear()
         urv.rsvd(a, 5, q=q, reorth=reorth, seed=3)
-        assert len(calls) == (2 * q + 1 if reorth else 1)
+        assert calls == ["lu_basis"] * (2 * q if reorth else 0) + ["householder_qr"]
 
 
 class TestPowerUrvTallPath:
