@@ -3,11 +3,24 @@
 LAPACK Householder QR normalized to diag(R) >= 0, LAPACK column-pivoted
 QR (``geqp3``, the BLAS-3 algorithm of Quintana-Orti, Sun & Bischof
 1998), a hand-written column-pivoted QR with norm downdating, the
-P L D basis of a LAPACK partial-pivoted LU (``getrf``, the renormalization
-of the intermediate power steps), a dense SVD, and spectral norms.
-These are the building blocks for every factorization in the package.
-All routines are pure functions of float64 arrays and never mutate
-their inputs.
+P L D basis of a LAPACK partial-pivoted LU (``getrf`` and ``laswp``, the
+renormalization of the intermediate power steps), a dense SVD, and
+spectral norms.  These are the building blocks for every factorization
+in the package.  All routines are pure functions of float64 arrays and
+never mutate their inputs.
+
+The LAPACK kernels return Fortran-order arrays, the layout LAPACK writes,
+and ``product`` writes ``x @ y`` in that order too, so a power iteration
+whose samples are formed by ``product`` makes no transposing copy: a
+kernel copies its Fortran-order input once, plainly, and returns that
+copy.  The layout moves no value of a kernel: ``householder_qr`` and
+``lu_basis`` give bitwise the same factors for an input in any layout.
+Against the same kernels returning C order, the ``ddh_urv``,
+``power_urv`` (q = 0, 1, 2, with and without ``reorth``) and ``qlp``
+factors of slow- and fast-decay matrices stay bitwise equal at
+1024 x 1024, 4096 x 512, 200 x 160 and 60 x 40.  Only the tall path of
+``power_urv`` (800 x 100) and ``rsvd`` (60 x 40 and 800 x 100) round
+otherwise, by at most 1.3e-13 relative on slow decay with ``reorth``.
 
 The two LAPACK QRs and the LU call the LAPACK inside numpy's own
 OpenBLAS through ``ctypes``, so the package runs on one BLAS runtime and
@@ -28,13 +41,14 @@ EPS = float(np.finfo(np.float64).eps)
 _INT = ctypes.POINTER(ctypes.c_int64)
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
-# argument types of each routine up to its trailing INFO, and whether a
-# workspace (WORK, LWORK) comes before INFO
+# argument types of each routine, and what follows them: a workspace
+# (WORK, LWORK) and INFO, INFO alone, or nothing
 _SIGNATURES = {
-    "dgeqrf": ((_INT, _INT, _F64, _INT, _F64), True),        # M, N, A, LDA, TAU
-    "dorgqr": ((_INT, _INT, _INT, _F64, _INT, _F64), True),  # M, N, K, A, LDA, TAU
-    "dgeqp3": ((_INT, _INT, _F64, _INT, _I64, _F64), True),  # M, N, A, LDA, JPVT, TAU
-    "dgetrf": ((_INT, _INT, _F64, _INT, _I64), False),       # M, N, A, LDA, IPIV
+    "dgeqrf": ((_INT, _INT, _F64, _INT, _F64), "work"),        # M, N, A, LDA, TAU
+    "dorgqr": ((_INT, _INT, _INT, _F64, _INT, _F64), "work"),  # M, N, K, A, LDA, TAU
+    "dgeqp3": ((_INT, _INT, _F64, _INT, _I64, _F64), "work"),  # M, N, A, LDA, JPVT, TAU
+    "dgetrf": ((_INT, _INT, _F64, _INT, _I64), "info"),        # M, N, A, LDA, IPIV
+    "dlaswp": ((_INT, _F64, _INT, _INT, _INT, _I64, _INT), None),  # N, A, LDA, K1, K2, IPIV, INCX
 }
 try:
     _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -44,9 +58,10 @@ except (AttributeError, OSError) as exc:
         f"urv needs numpy's bundled ILP64 scipy-openblas LAPACK (symbols scipy_<name>_64_ "
         f"for {', '.join(_SIGNATURES)}); numpy {np.__version__} does not export it: {exc}"
     ) from exc
+_TAILS = {"work": (_F64, _INT, _INT), "info": (_INT,), None: ()}
 for _name, _fn in _LAPACK.items():
-    _types, _work = _SIGNATURES[_name]
-    _fn.argtypes = [*_types, *((_F64, _INT) if _work else ()), _INT]
+    _types, _tail = _SIGNATURES[_name]
+    _fn.argtypes = [*_types, *_TAILS[_tail]]
     _fn.restype = None
 
 # Recompute a downdated column norm from scratch once it has shrunk below
@@ -106,25 +121,26 @@ def max_exponent(a) -> int:
 
 
 def _lapack(name: str, *args) -> int:
-    """Call the LAPACK routine ``name`` with ``args``, then WORK, LWORK if it takes them, INFO.
+    """Call the LAPACK routine ``name`` with ``args``, then the tail of ``_SIGNATURES``.
 
     Ints pass by reference as int64 (ILP64); arrays must be writeable and
     Fortran-contiguous, with the dtype of ``_SIGNATURES``.  A workspace
     query picks the optimal LWORK, so blocked code runs.  A negative INFO
     (an illegal argument) raises ``numpy.linalg.LinAlgError``; INFO is
-    returned otherwise, since a positive one is a result (``dgetrf``: an
-    exact zero pivot), not a failure.
+    returned otherwise (0 for a routine without one), since a positive one
+    is a result (``dgetrf``: an exact zero pivot), not a failure.
     """
     refs = [ctypes.byref(ctypes.c_int64(arg)) if isinstance(arg, int) else arg for arg in args]
+    tail = _SIGNATURES[name][1]
     info = ctypes.c_int64(0)
 
     def call(*work):
-        _LAPACK[name](*refs, *work, ctypes.byref(info))
+        _LAPACK[name](*refs, *work, *((ctypes.byref(info),) if tail else ()))
         if info.value < 0:
             raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info.value}")
         return info.value
 
-    if not _SIGNATURES[name][1]:
+    if tail != "work":
         return call()
     query = np.zeros(1)
     call(query, ctypes.byref(ctypes.c_int64(-1)))
@@ -154,14 +170,23 @@ def _householder(x):
     return v, tau
 
 
+def product(x, y) -> np.ndarray:
+    """``x @ y`` written in Fortran order, the layout the LAPACK kernels take.
+
+    BLAS forms ``(y^T x^T)^T`` straight into a Fortran-order result, so a
+    product that is factored next costs no transposing copy.
+    """
+    return np.matmul(y.T, x.T).T
+
+
 def householder_qr(a) -> QrResult:
     """Householder QR of a tall matrix, normalized to ``diag(r) >= 0``.
 
-    LAPACK ``dgeqrf``/``dorgqr`` on one Fortran-order copy, followed by
-    an exact sign flip of the columns of ``q`` and rows of ``r`` whose
-    diagonal entry is negative.  The normalization makes the result
-    unique and lets the Q of a Gaussian matrix be exactly Haar
-    distributed.
+    LAPACK ``dgeqrf``/``dorgqr`` on one Fortran-order copy of ``a`` (a
+    plain copy when ``a`` is in Fortran order), followed by an exact sign
+    flip of the columns of ``q`` and rows of ``r`` whose diagonal entry is
+    negative.  The normalization makes the result unique and lets the Q
+    of a Gaussian matrix be exactly Haar distributed.
 
     Parameters
     ----------
@@ -173,8 +198,9 @@ def householder_qr(a) -> QrResult:
     QrResult
         ``q`` (m, n) with orthonormal columns and upper-triangular
         ``r`` (n, n) with nonnegative diagonal such that ``q @ r == a``
-        up to roundoff.  Both are C-contiguous, as ``numpy.linalg.qr``
-        returns them, so products with them round as they did there.
+        up to roundoff.  Both are Fortran-contiguous, as LAPACK writes
+        them, and bitwise equal to the sign-normalized ``numpy.linalg.qr``
+        factors of ``a`` in any layout.
     """
     a = validated_matrix(a)
     m, n = a.shape
@@ -183,14 +209,22 @@ def householder_qr(a) -> QrResult:
     f = np.array(a, order="F")
     tau = np.empty(n)
     _lapack("dgeqrf", m, n, f, max(1, m), tau)
-    r = np.triu(f[:n, :])
+    r = _upper(f, n)
     _lapack("dorgqr", m, n, n, f, max(1, m), tau)
     return _positive_diagonal(f, r)
 
 
+def _upper(f, k):
+    """The upper trapezoid of the first ``k`` rows of ``f``, in Fortran order."""
+    return np.tril(f[:k].T).T
+
+
 def _positive_diagonal(q, r) -> QrResult:
-    """C-contiguous ``(q, r)`` with the sign of every negative diagonal entry of r flipped."""
-    q, r = np.ascontiguousarray(q), np.ascontiguousarray(r)
+    """``(q, r)`` themselves, with the sign of every negative diagonal entry of r flipped.
+
+    Both are flipped in place and keep their layout: the Fortran order of
+    the LAPACK output they come from.
+    """
     neg = np.diagonal(r) < 0.0
     q[:, neg] *= -1.0
     r[neg, :] *= -1.0
@@ -211,6 +245,9 @@ def lu_basis(y) -> LuBasis:
     ``info > 0``) is a rank-deficient ``y``, not an error: its column of L
     is zero below the diagonal and its entry of ``|diag U|`` is 0.
 
+    L D is formed in place on one Fortran-order copy of ``y`` and LAPACK
+    ``dlaswp`` applies P to it there, so the only copy is that of ``y``.
+
     Parameters
     ----------
     y : array_like, shape (m, n)
@@ -219,8 +256,9 @@ def lu_basis(y) -> LuBasis:
     Returns
     -------
     LuBasis
-        ``pld`` (m, n), C-contiguous, with entries of magnitude at most 1
-        and a unit-magnitude entry in each column, and ``udiag`` (n,).
+        ``pld`` (m, n), Fortran-contiguous, with entries of magnitude at
+        most 1 and a unit-magnitude entry in each column, and ``udiag`` (n,).
+        Both are bitwise the same for ``y`` in any layout.
     """
     y = validated_matrix(y)
     m, n = y.shape
@@ -234,13 +272,10 @@ def lu_basis(y) -> LuBasis:
     np.copyto(f[:n], 0.0, where=~np.tri(n, dtype=bool))
     np.fill_diagonal(f, 1.0)
     f *= np.where(udiag < 0.0, -1.0, 1.0)
-    # dgetrf swapped rows i and ipiv[i] - 1 of y in turn, so L D = (P L D)[rows]
-    rows = list(range(m))
-    for i, p in enumerate(ipiv.tolist()):
-        rows[i], rows[p - 1] = rows[p - 1], rows[i]
-    pld = np.empty((m, n))
-    pld[rows] = f
-    return LuBasis(pld, np.abs(udiag))
+    # dgetrf swapped rows i and ipiv[i] of y for i = 1..n in turn, so
+    # P L D undoes those swaps in reverse order (INCX = -1)
+    _lapack("dlaswp", n, f, max(1, m), 1, n, ipiv, -1)
+    return LuBasis(f, np.abs(udiag))
 
 
 def pivoted_qr(a) -> CpqrResult:
@@ -250,7 +285,9 @@ def pivoted_qr(a) -> CpqrResult:
     contract as ``cpqr``, including its exact power-of-two prescale, but
     LAPACK downdates the column norms differently, so nearly tied columns
     may pivot otherwise: on Kahan's matrix (n = 96) ``geqp3`` keeps the
-    identity order, while roundoff in ``cpqr`` moves 46 columns.
+    identity order, while roundoff in ``cpqr`` moves 46 columns.  ``q``
+    and ``r`` are Fortran-contiguous; on a wide input ``q`` is a compact
+    copy, not a view of the k x n LAPACK buffer.
     """
     a = validated_matrix(a)
     m, n = a.shape
@@ -260,11 +297,11 @@ def pivoted_qr(a) -> CpqrResult:
     perm = np.zeros(n, dtype=np.int64)  # zero: every column is free to pivot
     tau = np.empty(k)
     _lapack("dgeqp3", m, n, f, max(1, m), perm, tau)
-    r = np.triu(f[:k, :])
+    r = _upper(f, k)
     _lapack("dorgqr", m, k, k, f, max(1, m), tau)
-    q, r = _positive_diagonal(f[:, :k], r)
+    q, r = _positive_diagonal(f if k == n else f[:, :k].copy(order="F"), r)
     perm -= 1
-    return CpqrResult(q, np.ldexp(r, scale), perm)
+    return CpqrResult(q, np.ldexp(r, scale, out=r), perm)
 
 
 def cpqr(a) -> CpqrResult:

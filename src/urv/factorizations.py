@@ -33,6 +33,7 @@ from .core import (
     lu_basis,
     max_exponent,
     pivoted_qr,
+    product,
     svd,
     validated_matrix,
 )
@@ -125,8 +126,8 @@ def _orth(y, warnings: list[str], stage: str, lu: bool = False):
     return basis
 
 
-def _sample_basis(a, g, steps: int, reorth: bool, warnings: list[str], stage: str):
-    """Q of the sample ``g`` after ``steps`` alternating products A, A^T, A, ...
+def _sample_basis(a, y, steps: int, reorth: bool, warnings: list[str], stage: str):
+    """Q of the sample ``y`` after ``steps`` alternating products A, A^T, A, ...
 
     Randomized subspace iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4).
     With ``reorth`` every intermediate sample is renormalized by the P L D
@@ -135,11 +136,12 @@ def _sample_basis(a, g, steps: int, reorth: bool, warnings: list[str], stage: st
     is orthonormalized, by QR, and reports a zero or overflow under
     ``stage``.  Since the LU factor spans the sample's nested column spaces,
     that Q is the one QR renormalization at every step gives, in exact
-    arithmetic.
+    arithmetic.  Each sample is dropped once the next is formed, so a
+    caller that passes the draw without keeping it holds one sample at a
+    time.
     """
-    y = g
     for i in range(steps):
-        y = (a.T if i % 2 else a) @ y
+        y = product(a.T if i % 2 else a, y)
         if reorth and i < steps - 1:
             step = f"power step {i // 2 + 1} (after {'A^T' if i % 2 else 'A'})"
             y = _orth(y, warnings, step, lu=True)
@@ -201,12 +203,11 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     tall = q >= 1 and m >= _TALL_RATIO * n
     # _orth reports a non-finite R0 as an overflow of the sample
     q0, b = householder_qr(a) if tall else (None, a)
-    g = gaussian_matrix(n, n, seed)
-    v = _sample_basis(b, g, 2 * q, reorth, warnings, "right-factor QR")
-    u, r = householder_qr(_finite(b @ v, "product A V"))
+    v = _sample_basis(b, gaussian_matrix(n, n, seed), 2 * q, reorth, warnings, "right-factor QR")
+    u, r = householder_qr(_finite(product(b, v), "product A V"))
     _finite(r, "QR of A V")
     if tall:
-        u = q0 @ u
+        u = product(q0, u)
     prov = Provenance("powerurv", q=q, reorth=reorth, seed=seed, warnings=tuple(warnings))
     return UrvFactorization(u, r, v, prov)
 
@@ -237,7 +238,7 @@ def qlp(a) -> UrvFactorization:
     if m < n:
         raise ValueError(f"qlp requires rows >= cols, got {m}x{n}")
     first = pivoted_qr(a.T)
-    b = np.empty((m, n))
+    b = np.empty((m, n), order="F")
     b[first.perm, :] = _finite(first.r, "first pivoted QR").T
     second = pivoted_qr(b)
     _finite(second.r, "second pivoted QR")
@@ -267,8 +268,8 @@ def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorizat
         raise ValueError("q must be nonnegative")
     seed = as_seed(seed)
     warnings: list[str] = []
-    g = gaussian_matrix(n, ell, seed)
-    qq = _sample_basis(a, g, 2 * q + 1, reorth, warnings, "range-finder QR")
+    qq = _sample_basis(a, gaussian_matrix(n, ell, seed), 2 * q + 1, reorth, warnings,
+                       "range-finder QR")
     tall = (qq.T @ a).T
     w_t = svd(tall)  # tall = v_r diag(sigma) w^T
     u = qq @ w_t.v

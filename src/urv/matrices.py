@@ -81,7 +81,8 @@ def _from_singular_values(m, n, seed, d):
     seed = as_seed(seed)
     u = _haar_columns(m, n, seed.spawn(_U_STREAM))
     v = _haar_columns(n, n, seed.spawn(_V_STREAM))
-    return (u * d) @ v.T, d
+    u *= d
+    return u @ v.T, d
 
 
 def gen_fast_decay(m: int = DEFAULT_M, n: int = DEFAULT_N, seed=0, literal: bool = False):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import EPS, _lapack, lu_basis, pivoted_qr
+from urv.core import EPS, _lapack, lu_basis, pivoted_qr, product
 from urv.factorizations import _orth
 
 from conftest import jacobi_eigenvalues
@@ -42,7 +42,7 @@ class TestHouseholderQr:
         q, r = _signed_numpy_qr(a)
         assert np.array_equal(a, before)
         assert np.array_equal(res.q, q) and np.array_equal(res.r, r)
-        assert res.q.flags.c_contiguous and res.r.flags.c_contiguous
+        assert res.q.flags.f_contiguous and res.r.flags.f_contiguous
 
     def test_identity(self):
         res = urv.householder_qr(np.eye(3))
@@ -179,6 +179,11 @@ class TestCpqr(_PivotedQrContract):
 class TestPivotedQr(_PivotedQrContract):
     kernel = staticmethod(pivoted_qr)
 
+    def test_wide_q_is_compact(self):
+        # qlp factors a.T: q must not be a view that keeps the k x n LAPACK buffer alive
+        res = pivoted_qr(urv.gaussian_matrix(10, 60, urv.RngSeed(11)))
+        assert res.q.shape == (10, 10) and res.q.flags.owndata and res.q.flags.f_contiguous
+
     @pytest.mark.parametrize("c", [1e-300, 1e300])
     def test_extreme_scale(self, c):
         # factors of c*a are those of a, r rescaled, to roundoff: no overflow or underflow
@@ -205,7 +210,7 @@ class TestLuBasis:
         pld, udiag = lu_basis(y)
         assert np.array_equal(y, before)
         assert pld.shape == shape and udiag.shape == (shape[1],)
-        assert pld.flags.c_contiguous
+        assert pld.flags.f_contiguous
         pl, u = sla.lu(y, permute_l=True)
         d = np.where(np.diagonal(u) < 0.0, -1.0, 1.0)
         bound = 10 * max(shape) * EPS
@@ -216,6 +221,21 @@ class TestLuBasis:
         assert np.linalg.norm(pld @ du - y) <= bound * np.linalg.norm(y)
         # partial pivoting: |L| <= 1, with the pivot's +-1 in every column
         assert np.array_equal(np.abs(pld).max(axis=0), np.ones(shape[1]))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("layout", ["C", "F", "slice"])
+    def test_layout_independent(self, shape, layout):
+        # the same pld and udiag, bitwise, for any layout, and y is left as it was
+        m, n = shape
+        a = urv.gaussian_matrix(2 * m, 2 * n, urv.RngSeed(7))
+        # every other row and column of a larger matrix is not contiguous
+        y = a[::2, ::2] if layout == "slice" else np.array(a[:m, :n], order=layout)
+        ref = lu_basis(np.array(y, order="C"))
+        before = y.copy()
+        res = lu_basis(y)
+        assert np.array_equal(y, before)
+        assert np.array_equal(res.pld, ref.pld) and np.array_equal(res.udiag, ref.udiag)
+        assert res.pld.flags.f_contiguous
 
     @pytest.mark.parametrize("shape", SHAPES[1:])
     def test_q_is_the_samples_q(self, shape):
@@ -251,6 +271,20 @@ class TestLuBasis:
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
             lu_basis(np.ones((2, 3)))
+
+
+class TestProduct:
+    @pytest.mark.parametrize("m,k,n", [(64, 64, 64), (300, 40, 40), (40, 300, 40), (1, 7, 1)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fortran_order_x_at_y(self, m, k, n, order):
+        x = np.array(urv.gaussian_matrix(m, k, urv.RngSeed(1)), order=order)
+        y = np.array(urv.gaussian_matrix(k, n, urv.RngSeed(2)), order=order)
+        # y^T x^T is how the power iteration applies A^T: transposed operands
+        for left, right in ((x, y), (y.T, x.T)):
+            res = product(left, right)
+            assert res.flags.f_contiguous and res.shape == (left.shape[0], right.shape[1])
+            bound = 10 * k * EPS * np.linalg.norm(x) * np.linalg.norm(y)
+            assert np.linalg.norm(res - left @ right) <= bound
 
 
 class TestSvd:

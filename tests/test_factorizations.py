@@ -1,5 +1,7 @@
 """Factorization algorithms: DDH-URV, PowerURV, QLP, RSVD, truncation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,22 @@ def test_qr_count(monkeypatch, q, reorth):
         calls.clear()
         urv.rsvd(a, 5, q=q, reorth=reorth, seed=3)
         assert calls == ["lu_basis"] * (2 * q if reorth else 0) + ["householder_qr"]
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_peak_memory(q):
+    # the samples stay in the Fortran order of the kernels, so no QR or LU
+    # holds a transposed copy next to its input, and the Gaussian draw is
+    # dropped once the first product replaces it: at most 6 matrices of the
+    # input's size are live at once, the three returned factors included
+    a, _ = urv.gen_slow_decay(256, 256, seed=1)
+    tracemalloc.start()
+    try:
+        urv.power_urv(a, q=q, seed=2) if q else urv.ddh_urv(a, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * a.nbytes
 
 
 class TestPowerUrvTallPath:
