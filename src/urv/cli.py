@@ -70,7 +70,6 @@ from .matrices import (
 from .random import RngSeed, gaussian_matrix
 
 ALGORITHMS = ("ddh", "powerurv", "qlp", "rsvd", "cpqr")
-TIMING_ALGS = ("qr", "cpqr", "ddh", "powerurv", "qlp")
 
 
 class UsageError(Exception):
@@ -119,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated n (square) or MxN (tall) values")
     t.add_argument("--reps", type=int, default=3)
     t.add_argument("--algs", default="qr,cpqr",
-                   help=f"comma-separated from {','.join(TIMING_ALGS)}")
+                   help=f"comma-separated from {','.join(_TIMING_ALGS)}")
     t.add_argument("--q", type=int, default=1)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", default="timing.csv")
@@ -172,6 +171,7 @@ _ALGORITHMS = {
                                   seed=RngSeed(args.seed)),
              ("seed", "q", "reorth", "ell")),
 }
+_TIMING_ALGS = tuple(name for name, (_, reads) in _ALGORITHMS.items() if "ell" not in reads)
 
 
 def _blas() -> dict:
@@ -261,7 +261,7 @@ def _run_timing(args) -> int:
     sizes = [_parse_size(s) for s in args.sizes.split(",") if s]
     algs = [s.strip() for s in args.algs.split(",") if s.strip()]
     for alg in algs:
-        if alg not in TIMING_ALGS:
+        if alg not in _TIMING_ALGS:
             raise UsageError(f"unknown timing algorithm {alg!r}")
     rows = []
     for m, n, label in sizes:

@@ -15,12 +15,11 @@ whose samples are formed by ``product`` makes no transposing copy: a
 kernel copies its Fortran-order input once, plainly, and returns that
 copy.  The layout moves no value of a kernel: ``householder_qr`` and
 ``lu_basis`` give bitwise the same factors for an input in any layout.
-Against the same kernels returning C order, the ``ddh_urv``,
-``power_urv`` (q = 0, 1, 2, with and without ``reorth``) and ``qlp``
-factors of slow- and fast-decay matrices stay bitwise equal at
-1024 x 1024, 4096 x 512, 200 x 160 and 60 x 40.  Only the tall path of
-``power_urv`` (800 x 100) and ``rsvd`` (60 x 40 and 800 x 100) round
-otherwise, by at most 1.3e-13 relative on slow decay with ``reorth``.
+
+This module is the package's one seam to dense linear algebra: every SVD,
+QR and LU, and every product that is factored next, is a call here, so a
+tracer or flop counter wraps each kernel in one place.  Other modules take
+from ``numpy.linalg`` only ``LinAlgError`` and ``norm`` without ``ord``.
 
 The two LAPACK QRs and the LU call the LAPACK inside numpy's own
 OpenBLAS through ``ctypes``, so the package runs on one BLAS runtime and

@@ -25,6 +25,8 @@ profiles use exact residual SVDs up to rank ell.  Frobenius errors are
 exact at every rank.
 ``error_profile`` measures ``a * 2**-max_exponent(a)`` and scales the
 norms back: exact, and free of overflow and underflow.
+
+Every SVD here is a ``core.singular_values`` or ``core.spectral_norm`` call.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import max_exponent, singular_values, validated_matrix
+from .core import max_exponent, singular_values, spectral_norm, validated_matrix
 from .factorizations import RsvdFactorization, UrvFactorization, power_urv, rsvd
 
 CSV_HEADER = "k,abs_sp,abs_fro,rel_sp,rel_fro,sigma_ref,smin_r11,smax_r22"
@@ -105,11 +107,7 @@ def reference_singular_values(a) -> np.ndarray:
 
 def _trailing_spectral_norms(r) -> np.ndarray:
     """||r[k:, k:]||_2 for k = 0..n (0 at k = n)."""
-    n = r.shape[0]
-    smax = np.zeros(n + 1)
-    for k in range(n):
-        smax[k] = np.linalg.svd(r[k:, k:], compute_uv=False)[0]
-    return smax
+    return np.array([spectral_norm(r[k:, k:]) for k in range(r.shape[0] + 1)])
 
 
 def _low_rank_errors(a, u, rows, exact):
@@ -124,7 +122,7 @@ def _low_rank_errors(a, u, rows, exact):
     fro = np.empty(kmax + 1)
     for k in range(kmax + 1):
         if exact[k]:
-            sp[k] = np.linalg.svd(resid, compute_uv=False)[0]
+            sp[k] = spectral_norm(resid)
         fro[k] = np.linalg.norm(resid)
         if k < kmax:
             resid -= np.outer(u[:, k], rows[k, :])
@@ -172,7 +170,8 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     -------
     ErrorProfile
         Absolute and relative errors for every k = 0..n.  Relative
-        errors are scaled by the matching norm of ``a``.
+        errors are scaled by the matching norm of ``a``; they are 0 when
+        ``a`` is zero, since every approximant of it is then exact.
     """
     a = validated_matrix(a)
     n = a.shape[1]
@@ -190,8 +189,8 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
         k=np.arange(n + 1),
         abs_spectral=sp,
         abs_frobenius=fro,
-        rel_spectral=sp / sp[0],
-        rel_frobenius=fro / fro[0],
+        rel_spectral=np.divide(sp, sp[0], out=np.zeros_like(sp), where=sp[0] > 0),
+        rel_frobenius=np.divide(fro, fro[0], out=np.zeros_like(fro), where=fro[0] > 0),
         sigma_ref=sigma_ref,
         algorithm=f.provenance.algorithm,
     )
@@ -216,9 +215,7 @@ def reveal_profile(f, a=None, sigma_ref=None) -> RevealProfile:
         return RevealProfile(np.arange(n + 1), smin, smax, sigma_ref)
     r = f.r
     n = r.shape[0]
-    smin = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        smin[k] = np.linalg.svd(r[:k, :k], compute_uv=False)[-1]
+    smin = np.array([0.0] + [singular_values(r[:k, :k])[-1] for k in range(1, n + 1)])
     return RevealProfile(np.arange(n + 1), smin, _trailing_spectral_norms(r), sigma_ref)
 
 
@@ -229,7 +226,7 @@ def projection_error(a, u, k: int) -> float:
         raise ValueError(f"k must be in [0, {u.shape[1]}], got {k}")
     uk = u[:, :k]
     resid = a - uk @ (uk.T @ a)
-    return float(np.linalg.svd(resid, compute_uv=False)[0])
+    return spectral_norm(resid)
 
 
 def projection_error_curve(a, u, kmax=None) -> np.ndarray:

@@ -46,8 +46,9 @@ class RankCollapseError(Exception):
 
 
 # power_urv with q >= 1 runs on the R factor of inputs with at least this
-# many rows per column: measured, the extra QR and GEMM break even at
-# about 1.5-2 and save 12-18% at 2
+# many rows per column.  Measured with LU power steps (n = 512-1024), the
+# extra QR and GEMM break even near m = 3n for q = 1 and m = 2-2.5n for q = 2,
+# so at m = 2n this path is 10-13% slower for q = 1 and about even for q = 2
 _TALL_RATIO = 2
 
 
@@ -237,12 +238,13 @@ def qlp(a) -> UrvFactorization:
     m, n = a.shape
     if m < n:
         raise ValueError(f"qlp requires rows >= cols, got {m}x{n}")
-    first = pivoted_qr(a.T)
+    q1, r1, perm1 = pivoted_qr(a.T)
     b = np.empty((m, n), order="F")
-    b[first.perm, :] = _finite(first.r, "first pivoted QR").T
+    b[perm1, :] = _finite(r1, "first pivoted QR").T
+    del r1  # b holds its values: drop it before the second QR, the call's peak
     second = pivoted_qr(b)
     _finite(second.r, "second pivoted QR")
-    v = first.q[:, second.perm]
+    v = q1[:, second.perm]
     prov = Provenance("qlp", seed=None)
     return UrvFactorization(second.q, second.r, v, prov)
 
@@ -270,7 +272,7 @@ def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorizat
     warnings: list[str] = []
     qq = _sample_basis(a, gaussian_matrix(n, ell, seed), 2 * q + 1, reorth, warnings,
                        "range-finder QR")
-    tall = (qq.T @ a).T
+    tall = product(a.T, qq)
     w_t = svd(tall)  # tall = v_r diag(sigma) w^T
     u = qq @ w_t.v
     prov = Provenance("rsvd", q=q, reorth=reorth, seed=seed, warnings=tuple(warnings))

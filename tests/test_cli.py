@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,25 @@ def test_numerical_failure_exit_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_zero_matrix_profile(tmp_path, capsys):
+    # every approximant of a zero matrix is exact, so its relative errors
+    # read 0; only a sample of it (q >= 1, rsvd) collapses
+    src = tmp_path / "zero.bin"
+    urv.save_matrix_binary(src, np.zeros((12, 8)))
+    for alg in (["qlp"], ["cpqr"], ["ddh"], ["powerurv", "--q", "0"]):
+        out = tmp_path / f"{alg[0]}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bench", "--matrix", f"file:{src}", "--alg", *alg, "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:] == 0.0).all()
+    for alg in (["powerurv", "--q", "1"], ["rsvd", "--ell", "4"]):
+        assert main(["bench", "--matrix", f"file:{src}", "--alg", *alg,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "collapsed to zero" in capsys.readouterr().err
+
+
 def test_linalg_error_exit_2(tmp_path, capsys, monkeypatch):
     # LinAlgError subclasses ValueError, yet it is a numerical failure
     def fail(a):
@@ -308,3 +328,9 @@ def test_timing_rejects_zero_reps(tmp_path, capsys):
                      "--out", str(out)]) == 1
     assert "--reps must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_timing_rejects_rsvd(tmp_path, capsys):
+    # timing runs the table entries that need no --ell
+    assert main(["timing", "--sizes", "16", "--algs", "rsvd", "--out", str(tmp_path / "t.csv")]) == 1
+    assert "unknown timing algorithm 'rsvd'" in capsys.readouterr().err

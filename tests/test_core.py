@@ -1,5 +1,8 @@
 """Deterministic kernel tests: QR, CPQR, LU basis, SVD, spectral norm."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -335,3 +338,68 @@ class TestSpectralNorm:
 
     def test_diag(self):
         assert urv.spectral_norm(np.diag([5.0, 1.0])) == pytest.approx(5.0, rel=1e-14)
+
+
+def _linalg_uses(tree):
+    """``(line, use)`` of every ``numpy.linalg`` use the kernel seam forbids outside ``core``.
+
+    Allowed: ``LinAlgError`` and ``norm`` called without ``ord`` (a
+    Frobenius or vector norm); ``ord=2`` of a matrix is an SVD.
+    """
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "numpy"}
+
+    def is_linalg(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names)
+
+    frobenius = {id(node.func) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and len(node.args) <= 1
+                 and not any(kw.arg in ("ord", None) for kw in node.keywords)}
+    bases = set()
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_linalg(node.value):
+            bases.add(id(node.value))
+            if node.attr != "LinAlgError" and not (node.attr == "norm" and id(node) in frobenius):
+                uses.append((node.lineno, f"np.linalg.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = [a.name for a in node.names]
+            if node.module.startswith("numpy.linalg") or "linalg" in names:
+                uses.append((node.lineno, f"from {node.module} import {', '.join(names)}"))
+        elif isinstance(node, ast.Import):
+            uses += [(node.lineno, f"import {a.name}") for a in node.names
+                     if a.name.startswith("numpy.linalg")]
+    uses += [(node.lineno, "np.linalg") for node in ast.walk(tree)
+             if is_linalg(node) and id(node) not in bases]
+    return sorted(uses)
+
+
+def test_linalg_only_in_core():
+    # every SVD, QR and LU is a call into urv.core, so a tracer or flop
+    # counter that wraps the core kernels sees each of them
+    found = []
+    for path in sorted(Path(urv.__file__).parent.glob("*.py")):
+        if path.name != "core.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}: {use}" for line, use in _linalg_uses(tree)]
+    assert not found, "numpy.linalg outside urv.core:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import numpy as np\nnp.linalg.svd(a)", ["np.linalg.svd"]),
+    ("import numpy\nnumpy.linalg.qr(a)", ["np.linalg.qr"]),
+    ("import numpy as np\nnp.linalg.norm(a, ord=2)", ["np.linalg.norm"]),
+    ("import numpy as np\nnp.linalg.norm(a, 2)", ["np.linalg.norm"]),
+    ("import numpy as np\nnp.linalg.norm(a, **kw)", ["np.linalg.norm"]),
+    ("import numpy as np\nf = np.linalg.norm", ["np.linalg.norm"]),
+    ("import numpy as np\nla = np.linalg", ["np.linalg"]),
+    ("from numpy.linalg import svd", ["from numpy.linalg import svd"]),
+    ("from numpy import linalg", ["from numpy import linalg"]),
+    ("import numpy.linalg", ["import numpy.linalg"]),
+    ("import numpy as np\nnp.linalg.norm(a)\nnp.linalg.norm(a - b, axis=0)", []),
+    ("import numpy as np\ntry:\n    pass\nexcept np.linalg.LinAlgError:\n    pass", []),
+])
+def test_linalg_guard_flags(source, expected):
+    assert [use for _, use in _linalg_uses(ast.parse(source))] == expected

@@ -150,16 +150,22 @@ def test_qr_count(monkeypatch, q, reorth):
         assert calls == ["lu_basis"] * (2 * q if reorth else 0) + ["householder_qr"]
 
 
-@pytest.mark.parametrize("q", [0, 1, 2])
-def test_peak_memory(q):
+@pytest.mark.parametrize("factor", [
+    lambda a: urv.ddh_urv(a, seed=2),
+    lambda a: urv.power_urv(a, q=1, seed=2),
+    lambda a: urv.power_urv(a, q=2, seed=2),
+    urv.qlp,
+], ids=["0", "1", "2", "qlp"])
+def test_peak_memory(factor):
     # the samples stay in the Fortran order of the kernels, so no QR or LU
-    # holds a transposed copy next to its input, and the Gaussian draw is
-    # dropped once the first product replaces it: at most 6 matrices of the
-    # input's size are live at once, the three returned factors included
+    # holds a transposed copy next to its input, the Gaussian draw is
+    # dropped once the first product replaces it, and qlp drops its first
+    # R before the second pivoted QR: at most 6 matrices of the input's
+    # size are live at once, the three returned factors included
     a, _ = urv.gen_slow_decay(256, 256, seed=1)
     tracemalloc.start()
     try:
-        urv.power_urv(a, q=q, seed=2) if q else urv.ddh_urv(a, seed=2)
+        factor(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
