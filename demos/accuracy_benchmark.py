@@ -22,7 +22,7 @@ SEED = 0
 
 
 def summarize(name, a, factorization, sref):
-    rev = urv.reveal_profile(factorization, sigma_ref=sref)
+    rev = urv.reveal_profile(factorization)
     err = urv.error_profile(a, factorization, sref, reveal=rev)
     resolvable = sref[1:] > 1e-13 * sref[0]
     ks = 1 + np.nonzero(resolvable[:-1])[0]

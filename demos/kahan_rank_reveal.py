@@ -29,7 +29,7 @@ def main():
     print(f"qlp:   |R(n,n)| = {abs(f.r[-1, -1]):.6e}  "
           f"-> ratio to sigma_n {abs(f.r[-1, -1]) / sigma[-1]:9.3g}x")
 
-    rev = urv.reveal_profile(f, a)
+    rev = urv.reveal_profile(f)
     k = n - 1
     print(f"\nqlp reveal profile at k = {k}:")
     print(f"  smin(R11) = {rev.smin_r11[k]:.6e}   sigma_k  = {sigma[k - 1]:.6e}")

@@ -154,7 +154,7 @@ def _cpqr_as_urv(a) -> UrvFactorization:
     res = cpqr(a)
     n = a.shape[1]
     v = np.eye(n)[:, res.perm]
-    return UrvFactorization(res.q, res.r, v, Provenance("cpqr", seed=None))
+    return UrvFactorization(res.q, res.r, v, Provenance("cpqr"))
 
 
 # Each call looks its function up in this module when it runs, so that
@@ -192,7 +192,7 @@ def _run_bench(args) -> int:
 
     t0 = time.perf_counter()
     sigma_ref = reference_singular_values(a)
-    rev = reveal_profile(fac, sigma_ref=sigma_ref)
+    rev = reveal_profile(fac)
     err = error_profile(a, fac, sigma_ref, reveal=rev)
     diagnostics_wall = time.perf_counter() - t0
     source = args.matrix if spec else "file:" + os.path.basename(args.matrix[len("file:"):])
@@ -222,7 +222,7 @@ def _run_bench(args) -> int:
         "num_threads_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
         "outputs": [str(out)],
     }
-    warnings = getattr(fac.provenance, "warnings", ())
+    warnings = fac.provenance.warnings
     if warnings:
         manifest["warnings"] = list(warnings)
         print("\n".join(warnings), file=sys.stderr)

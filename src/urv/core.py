@@ -2,12 +2,12 @@
 
 LAPACK Householder QR normalized to diag(R) >= 0, LAPACK column-pivoted
 QR (``geqp3``, the BLAS-3 algorithm of Quintana-Orti, Sun & Bischof
-1998), a hand-written column-pivoted QR with norm downdating, the
-P L D basis of a LAPACK partial-pivoted LU (``getrf`` and ``laswp``, the
-renormalization of the intermediate power steps), a dense SVD, and
-spectral norms.  These are the building blocks for every factorization
-in the package.  All routines are pure functions of float64 arrays and
-never mutate their inputs.
+1998), a column-pivoted QR whose pivoting and norm downdating are
+hand-written, the P L D basis of a LAPACK partial-pivoted LU (``getrf``
+and ``laswp``, the renormalization of the intermediate power steps), a
+dense SVD, and spectral norms.  These are the building blocks for every
+factorization in the package.  All routines are pure functions of
+float64 arrays and never mutate their inputs.
 
 The LAPACK kernels return Fortran-order arrays, the layout LAPACK writes,
 and ``product`` writes ``x @ y`` in that order too, so a power iteration
@@ -21,8 +21,8 @@ QR and LU, and every product that is factored next, is a call here, so a
 tracer or flop counter wraps each kernel in one place.  Other modules take
 from ``numpy.linalg`` only ``LinAlgError`` and ``norm`` without ``ord``.
 
-The two LAPACK QRs and the LU call the LAPACK inside numpy's own
-OpenBLAS through ``ctypes``, so the package runs on one BLAS runtime and
+The QRs and the LU call the LAPACK inside numpy's own OpenBLAS
+through ``ctypes``, so the package runs on one BLAS runtime and
 loads no second library.  numpy wheels built against scipy-openblas64
 (tested: the 2.4.6 wheel) export it as ILP64 ``scipy_<name>_64_``; on
 any other numpy build ``import urv`` raises ``ImportError``.
@@ -112,9 +112,7 @@ def max_exponent(a) -> int:
     """Binary exponent e with max|a| in [2**(e-1), 2**e) (0 for a zero matrix).
 
     Scaling by ``2**-e`` is exact and brings the largest entry into
-    [1/2, 1), where squares can neither overflow nor underflow.  Used by
-    ``cpqr``, ``pivoted_qr``, ``factorizations._rescaled`` and
-    ``diagnostics.error_profile``.
+    [1/2, 1), where squares can neither overflow nor underflow.
     """
     return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
@@ -304,24 +302,28 @@ def pivoted_qr(a) -> CpqrResult:
 
 
 def cpqr(a) -> CpqrResult:
-    """QR factorization with greedy column pivoting, hand-written.
+    """QR factorization with greedy column pivoting by a hand-written recurrence.
 
-    Kept for ``urv bench --alg cpqr`` and the Kahan demonstration, whose
-    pinned ratio depends on this exact recurrence; ``qlp`` runs on
-    ``pivoted_qr``.  At step j the remaining column of largest trailing
-    norm is moved to position j (ties broken by lowest column index).
-    Trailing squared norms are downdated after each reflector and
-    recomputed from scratch when the downdated value falls below 1e-2 of
-    its reference value.  The working copy is prescaled by an exact power
-    of two so that its largest entry lies in [1/2, 1): squared norms
-    cannot overflow, and since the scaling is exact the factors are
-    bitwise those of the unscaled recurrence wherever that stays in range.
+    Kept for ``urv bench --alg cpqr`` and the Kahan demonstration; ``qlp``
+    runs on ``pivoted_qr``.  Only the pivoting recurrence is hand-written,
+    because the pinned Kahan ratio (acceptance criterion 9) depends on it;
+    Q is formed from its reflectors, stored in LAPACK's form (v[0] = 1,
+    H = I - tau v v^T), by LAPACK ``dorgqr``.
+
+    At step j the remaining column of largest trailing norm is moved to
+    position j (ties broken by lowest column index).  Trailing squared
+    norms are downdated after each reflector and recomputed from scratch
+    when the downdated value falls below 1e-2 of its reference value.
+    The working copy is prescaled by an exact power of two so that its
+    largest entry lies in [1/2, 1): squared norms cannot overflow, and
+    since the scaling is exact the factors are bitwise those of the
+    unscaled recurrence wherever that stays in range.
 
     Returns
     -------
     CpqrResult
-        ``q`` (m, k), ``r`` (k, n) upper-trapezoidal with nonincreasing
-        diagonal magnitudes, and ``perm`` such that
+        ``q`` (m, k), Fortran-contiguous, ``r`` (k, n) upper-trapezoidal
+        with nonincreasing diagonal magnitudes, and ``perm`` such that
         ``a[:, perm] == q @ r`` up to roundoff, k = min(m, n).
     """
     a = validated_matrix(a)
@@ -330,7 +332,7 @@ def cpqr(a) -> CpqrResult:
     scale = max_exponent(a)
     r = np.ldexp(a, -scale, order="C")
     perm = np.arange(n)
-    vs = np.zeros((m, k))
+    vs = np.zeros((m, k), order="F")
     taus = np.zeros(k)
     norms2 = np.einsum("ij,ij->j", r, r)
     ref2 = norms2.copy()
@@ -360,13 +362,8 @@ def cpqr(a) -> CpqrResult:
                 ref2[cols] = fresh
             norms2[j + 1 :] = upd
 
-    q = np.eye(m, k)
-    for j in range(k - 1, -1, -1):
-        if taus[j] != 0.0:
-            v = vs[j:, j]
-            w = taus[j] * (v @ q[j:, :])
-            q[j:, :] -= np.outer(v, w)
-    return CpqrResult(q, np.ldexp(r[:k, :], scale), perm)
+    _lapack("dorgqr", m, k, k, vs, max(1, m), taus)
+    return CpqrResult(vs, np.ldexp(r[:k, :], scale), perm)
 
 
 def svd(a) -> SvdResult:

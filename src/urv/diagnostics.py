@@ -65,7 +65,6 @@ class ErrorProfile:
     rel_spectral: np.ndarray
     rel_frobenius: np.ndarray
     sigma_ref: np.ndarray
-    algorithm: str
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,11 @@ class RevealProfile:
 
     ``smin_r11[k]`` is the smallest singular value of the leading k x k
     block of r (0 at k = 0) and ``smax_r22[k]`` the largest singular
-    value of the trailing block (0 at k = n).
+    value of the trailing block (0 at k = n), for k = 0..n.
     """
 
-    k: np.ndarray
     smin_r11: np.ndarray
     smax_r22: np.ndarray
-    sigma_ref: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,9 @@ def _urv_errors(a, f: UrvFactorization, smax):
 def _rsvd_errors(a, f: RsvdFactorization):
     """Per-rank errors of an RSVD; ranks past ell repeat the rank-ell ones."""
     rows = f.sigma[:, None] * f.v.T
-    sp, fro = _low_rank_errors(a, f.u, rows, np.ones(f.ell + 1, bool))
-    rank = np.minimum(np.arange(a.shape[1] + 1), f.ell)
+    ell = f.sigma.size
+    sp, fro = _low_rank_errors(a, f.u, rows, np.ones(ell + 1, bool))
+    rank = np.minimum(np.arange(a.shape[1] + 1), ell)
     return sp[rank], fro[rank]
 
 
@@ -162,7 +160,7 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     sigma_ref : array, optional
         Cached ``reference_singular_values(a)``; recomputed if absent.
     reveal : RevealProfile, optional
-        Cached ``reveal_profile(f, ...)``; for a URV factorization its
+        Cached ``reveal_profile(f)``; for a URV factorization its
         trailing-block norms are used instead of being recomputed.  The
         result is the same either way.
 
@@ -192,31 +190,26 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
         rel_spectral=np.divide(sp, sp[0], out=np.zeros_like(sp), where=sp[0] > 0),
         rel_frobenius=np.divide(fro, fro[0], out=np.zeros_like(fro), where=fro[0] > 0),
         sigma_ref=sigma_ref,
-        algorithm=f.provenance.algorithm,
     )
 
 
-def reveal_profile(f, a=None, sigma_ref=None) -> RevealProfile:
+def reveal_profile(f) -> RevealProfile:
     """Block singular-value profile of the triangular factor of ``f``.
 
-    For an RSVD factorization the factor is the diagonal of its singular
-    values.  ``sigma_ref`` requires either ``a`` or a cached array.
+    For an RSVD factorization the factor is the n x n diagonal of its
+    singular values padded with zeros, n = ``f.v.shape[0]``.
     """
-    if sigma_ref is None:
-        if a is None:
-            raise ValueError("reveal_profile needs a or sigma_ref")
-        sigma_ref = reference_singular_values(a)
     if isinstance(f, RsvdFactorization):
-        n = sigma_ref.size - 1
+        n, ell = f.v.shape
         smin = np.zeros(n + 1)
         smax = np.zeros(n + 1)
-        smin[1 : f.ell + 1] = f.sigma
-        smax[: f.ell] = f.sigma
-        return RevealProfile(np.arange(n + 1), smin, smax, sigma_ref)
+        smin[1 : ell + 1] = f.sigma
+        smax[:ell] = f.sigma
+        return RevealProfile(smin, smax)
     r = f.r
     n = r.shape[0]
     smin = np.array([0.0] + [singular_values(r[:k, :k])[-1] for k in range(1, n + 1)])
-    return RevealProfile(np.arange(n + 1), smin, _trailing_spectral_norms(r), sigma_ref)
+    return RevealProfile(smin, _trailing_spectral_norms(r))
 
 
 def projection_error(a, u, k: int) -> float:

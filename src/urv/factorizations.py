@@ -80,7 +80,6 @@ class RsvdFactorization:
     u: np.ndarray      # (m, ell)
     sigma: np.ndarray  # (ell,), nonincreasing
     v: np.ndarray      # (n, ell)
-    ell: int
     provenance: Provenance
 
 
@@ -245,8 +244,7 @@ def qlp(a) -> UrvFactorization:
     second = pivoted_qr(b)
     _finite(second.r, "second pivoted QR")
     v = q1[:, second.perm]
-    prov = Provenance("qlp", seed=None)
-    return UrvFactorization(second.q, second.r, v, prov)
+    return UrvFactorization(second.q, second.r, v, Provenance("qlp"))
 
 
 def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorization:
@@ -276,7 +274,7 @@ def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorizat
     w_t = svd(tall)  # tall = v_r diag(sigma) w^T
     u = qq @ w_t.v
     prov = Provenance("rsvd", q=q, reorth=reorth, seed=seed, warnings=tuple(warnings))
-    return RsvdFactorization(u, w_t.sigma, w_t.u, ell, prov)
+    return RsvdFactorization(u, w_t.sigma, w_t.u, prov)
 
 
 def truncate(f: UrvFactorization, k: int):

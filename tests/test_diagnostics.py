@@ -79,7 +79,7 @@ class TestErrorProfile:
         a = _paper_matrix(request, name)
         f = _URV_RUNS[alg](a)
         sref = urv.reference_singular_values(a)
-        rev = urv.reveal_profile(f, sigma_ref=sref)
+        rev = urv.reveal_profile(f)
         p = urv.error_profile(a, f, sref, reveal=rev)
         # the cached reveal profile never changes the output
         plain = urv.error_profile(a, f, sref)
@@ -116,7 +116,7 @@ class TestRevealProfile:
     def test_exact_diagonal_case(self):
         a = np.diag([3.0, 2.0, 1.0])
         f = urv.qlp(a)
-        rev = urv.reveal_profile(f, a)
+        rev = urv.reveal_profile(f)
         assert np.allclose(rev.smin_r11[1:], [3, 2, 1], rtol=1e-12)
         assert np.allclose(rev.smax_r22[:3], [3, 2, 1], rtol=1e-12)
         assert rev.smax_r22[3] == 0.0
@@ -124,7 +124,7 @@ class TestRevealProfile:
 
     def test_r22_bounds_optimum(self, matrix_slow, sigma_slow):
         a, _ = matrix_slow
-        rev = urv.reveal_profile(urv.power_urv(a, 1, True, 4), sigma_ref=sigma_slow)
+        rev = urv.reveal_profile(urv.power_urv(a, 1, True, 4))
         guard = 20 * urv.EPS * sigma_slow[0]
         assert (rev.smax_r22 >= sigma_slow * (1 - 1e-10) - guard).all()
 
@@ -133,7 +133,7 @@ class TestRevealProfile:
         ks = np.arange(1, 100)  # before the decay floor
         meds = {}
         for q in (0, 1):
-            rev = urv.reveal_profile(urv.power_urv(a, q, True, 7), sigma_ref=sigma_fast)
+            rev = urv.reveal_profile(urv.power_urv(a, q, True, 7))
             ratio = rev.smax_r22[ks] / sigma_fast[ks]
             if q == 1:
                 assert (ratio >= 1.0 - 1e-10).all()
@@ -141,11 +141,16 @@ class TestRevealProfile:
             meds[q] = np.median(ratio)
         assert meds[0] >= 2.0 * meds[1]
 
-    def test_requires_reference(self, matrix_slow):
+    def test_rsvd_pads_sigma(self, matrix_slow):
         a, _ = matrix_slow
-        f = urv.power_urv(a, 0, True, 1)
-        with pytest.raises(ValueError):
-            urv.reveal_profile(f)
+        f = urv.rsvd(a, 60, q=1, seed=3)
+        rev = urv.reveal_profile(f)
+        n = a.shape[1]
+        assert rev.smin_r11.size == rev.smax_r22.size == n + 1
+        assert np.array_equal(rev.smin_r11[1:61], f.sigma)
+        assert (rev.smin_r11[61:] == 0.0).all() and rev.smin_r11[0] == 0.0
+        assert np.array_equal(rev.smax_r22[:60], f.sigma)
+        assert (rev.smax_r22[60:] == 0.0).all()
 
 
 class TestProjectionError:
@@ -246,7 +251,7 @@ class TestCsvWriter:
         a, _ = matrix_slow
         f = urv.power_urv(a, 1, True, 9)
         err = urv.error_profile(a, f, sigma_slow)
-        rev = urv.reveal_profile(f, sigma_ref=sigma_slow)
+        rev = urv.reveal_profile(f)
         path = tmp_path / "profile.csv"
         urv.write_profile_csv(path, err, rev)
         lines = path.read_text().splitlines()
