@@ -28,7 +28,7 @@ def summarize(name, a, factorization, sref):
     ks = 1 + np.nonzero(resolvable[:-1])[0]
     ratio = np.median(err.abs_spectral[ks] / sref[ks])
     alg = factorization.provenance.algorithm
-    q = getattr(factorization.provenance, "q", 0)
+    q = factorization.provenance.q
     label = f"{alg}(q={q})" if alg == "powerurv" else alg
     print(f"    {label:14s} median err/sigma over resolvable k: {ratio:8.2f}")
     path = OUT / f"{name}_{label.replace('(', '_').replace(')', '').replace('=', '')}.csv"

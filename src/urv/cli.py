@@ -30,6 +30,7 @@ manifest records numpy's BLAS, the numpy and Python versions and every
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -93,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=None, help="row count override")
         sp.add_argument("--n", type=int, default=None, help="column count override")
         sp.add_argument("--seed", type=int, default=0, help="base seed (u64)")
-        sp.add_argument("--literal-decay", action="store_true",
+        sp.add_argument("--literal-decay", action="store_true", default=None,
                         help="use the literal fast-decay diagonal (underflows past k=17)")
-        sp.add_argument("--theta", type=float, default=DEFAULT_KAHAN_THETA,
-                        help="kahan matrix angle")
+        sp.add_argument("--theta", type=float, default=None,
+                        help=f"kahan matrix angle (default {DEFAULT_KAHAN_THETA})")
 
     b = sub.add_parser("bench", help="factor a matrix and write profile CSV + manifest")
     add_matrix_flags(b)
@@ -127,15 +128,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_matrix(args):
-    """Build (spec, matrix) from CLI flags; spec is None for file input."""
+    """Build (spec, matrix) from CLI flags; spec is None for file input.
+
+    A matrix flag that the chosen ``--matrix`` does not read is an error.
+    """
     name = args.matrix
-    if name.startswith("file:"):
+    kind = "file" if name.startswith("file:") else name
+    unread = {"m": kind in ("file", "bie", "kahan"), "n": kind == "file",
+              "theta": kind != "kahan", "literal_decay": kind != "fast"}
+    for flag, ignored in unread.items():
+        if ignored and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} does not apply to --matrix {name}")
+    if kind == "file":
         return None, load_matrix(name[len("file:"):])
     if name in ("fast", "slow", "sshape"):
         m = args.m if args.m is not None else DEFAULT_M
         n = args.n if args.n is not None else DEFAULT_N
         params = {}
-        if name == "fast" and args.literal_decay:
+        if args.literal_decay:
             params["literal"] = True
         spec = MatrixSpec(name, m, n, RngSeed(args.seed), params)
     elif name == "bie":
@@ -143,7 +153,8 @@ def _resolve_matrix(args):
         spec = MatrixSpec("bie", n, n, RngSeed(args.seed))
     elif name == "kahan":
         n = args.n if args.n is not None else DEFAULT_KAHAN_N
-        spec = MatrixSpec("kahan", n, n, RngSeed(args.seed), {"theta": args.theta})
+        theta = args.theta if args.theta is not None else DEFAULT_KAHAN_THETA
+        spec = MatrixSpec("kahan", n, n, RngSeed(args.seed), {"theta": theta})
     else:
         raise UsageError(f"unknown matrix {name!r}")
     a, _ = from_spec(spec)
@@ -200,18 +211,18 @@ def _run_bench(args) -> int:
     write_profile_csv(out, err, rev)
 
     seed = RngSeed(args.seed)
-    streams = {k: list(s) for k, s in matrix_streams(spec).items()} if spec else {}
+    streams = matrix_streams(spec) if spec else {}
     if "seed" in reads:
-        streams["sketch"] = list(seed)
+        streams["sketch"] = seed
     manifest = {
-        "spec": json.loads(spec.to_json()) if spec else {"file": args.matrix},
+        "spec": dataclasses.asdict(spec) if spec else {"file": args.matrix},
         "algorithm": {
             "name": args.alg,
             "q": args.q if "q" in reads else None,
             "reorth": not args.no_reorth if "reorth" in reads else None,
             "ell": args.ell if "ell" in reads else None,
         },
-        "seed": {"seed": seed.seed, "stream": seed.stream},
+        "seed": seed._asdict(),
         "streams": streams,
         "wall_time_s": wall,
         "diagnostics_wall_s": diagnostics_wall,

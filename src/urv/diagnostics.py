@@ -222,10 +222,8 @@ def projection_error(a, u, k: int) -> float:
     return spectral_norm(resid)
 
 
-def projection_error_curve(a, u, kmax=None) -> np.ndarray:
+def projection_error_curve(a, u, kmax: int) -> np.ndarray:
     """``projection_error(a, u, k)`` for every k = 0..kmax."""
-    if kmax is None:
-        kmax = u.shape[1]
     if not 0 <= kmax <= u.shape[1]:
         raise ValueError(f"kmax must be in [0, {u.shape[1]}], got {kmax}")
     return np.array([projection_error(a, u, k) for k in range(kmax + 1)])
@@ -311,7 +309,5 @@ def write_profile_csv(path, err: ErrorProfile, rev: RevealProfile) -> None:
         rev.smax_r22,
     )
     with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i in range(err.k.size):
-            row = [str(int(err.k[i]))] + [f"{c[i]:.17g}" for c in cols[1:]]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, np.column_stack(cols), fmt=["%d"] + ["%.17g"] * 7, delimiter=",",
+                   header=CSV_HEADER, comments="")

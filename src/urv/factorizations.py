@@ -168,14 +168,14 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     ``q = 0`` is exactly ``ddh_urv`` (same Gaussian draw, same code
     path, bit-identical factors).
 
-    A tall input (``q >= 1`` and ``m >= 2n``) is first reduced to its
-    n x n triangular factor, ``A = Q0 R0``, as LAPACK's SVD routines do
-    (Chan's R-SVD).  The power iteration and ``R0 V = U' R`` then run on
-    R0, and ``U = Q0 U'``.  Since ``R0^T R0 = A^T A`` the factors are the
-    same as on the direct path up to roundoff, but the 2q + 1 products
-    with A and the QRs of m x n samples shrink to n x n ones.  With
-    ``q = 0`` the one product with A is cheaper than the extra QR, so
-    the direct path is kept.
+    A tall input (``q >= 1`` and ``m >= _TALL_RATIO * n``) is first
+    reduced to its n x n triangular factor, ``A = Q0 R0``, as LAPACK's
+    SVD routines do (Chan's R-SVD).  The power iteration and
+    ``R0 V = U' R`` then run on R0, and ``U = Q0 U'``.  Since
+    ``R0^T R0 = A^T A`` the factors are the same as on the direct path
+    up to roundoff, but the 2q + 1 products with A and the QRs of m x n
+    samples shrink to n x n ones.  With ``q = 0`` the one product with
+    A is cheaper than the extra QR, so the direct path is kept.
 
     Parameters
     ----------

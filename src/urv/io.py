@@ -20,10 +20,8 @@ MAGIC = b"URVK1"
 
 
 def save_matrix_csv(path, a) -> None:
-    a = np.asarray(a, dtype=np.float64)
     with open(path, "w", newline="\n") as fh:
-        for row in a:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        np.savetxt(fh, a, fmt="%.17g", delimiter=",")
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -42,11 +40,11 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def save_matrix_binary(path, a) -> None:
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array(a.shape, dtype="<u8").tobytes())
-        fh.write(np.asfortranarray(a).astype("<f8").tobytes(order="F"))
+        fh.write(a.tobytes(order="F"))
 
 
 def load_matrix_binary(path) -> np.ndarray:

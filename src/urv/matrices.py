@@ -22,7 +22,6 @@ the matrix; the orthogonal factors are Haar with independent streams.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,30 +42,17 @@ _V_STREAM = 2
 
 @dataclass(frozen=True)
 class MatrixSpec:
-    """Serializable description of one benchmark matrix instance."""
+    """Description of one benchmark matrix instance.
+
+    A ``urv bench`` manifest stores it as ``dataclasses.asdict(spec)``, so
+    ``from_spec(MatrixSpec(**manifest["spec"]))`` rebuilds the matrix.
+    """
 
     kind: str
     m: int
     n: int
     seed: RngSeed = RngSeed(0)
     params: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "m": self.m,
-                "n": self.n,
-                "seed": list(self.seed),
-                "params": self.params,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MatrixSpec":
-        d = json.loads(text)
-        return cls(d["kind"], d["m"], d["n"], RngSeed(*d["seed"]), d.get("params", {}))
 
 
 def _haar_columns(m, n, seed):

@@ -89,6 +89,43 @@ def test_manifest_streams(tmp_path):
         assert manifest["seed"] == {"seed": 7, "stream": 0}
 
 
+@pytest.mark.parametrize("flags, generated", [
+    (["--matrix", "fast", "--literal-decay", "--seed", "7"],
+     lambda: urv.gen_fast_decay(seed=7, literal=True)[0]),
+    (["--matrix", "kahan", "--theta", "1.1"], lambda: urv.gen_kahan(theta=1.1)),
+], ids=["fast-literal", "kahan-theta"])
+def test_manifest_spec_rebuilds_input(tmp_path, flags, generated):
+    # the reproducibility contract: a manifest's spec alone gives back the input
+    out = tmp_path / "r.csv"
+    assert main(["bench", *flags, "--alg", "qlp", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "r.json").read_text())
+    a, _ = urv.from_spec(urv.MatrixSpec(**manifest["spec"]))
+    assert np.array_equal(a, generated())
+
+
+@pytest.mark.parametrize("command", [["bench", "--alg", "qlp"], ["lemma", "--ell", "5"]],
+                         ids=["bench", "lemma"])
+@pytest.mark.parametrize("flags", [
+    ["--matrix", "bie", "--m", "300"],
+    ["--matrix", "kahan", "--m", "50"],
+    ["--matrix", "slow", "--theta", "1.1"],
+    ["--matrix", "bie", "--theta", "1.1"],
+    ["--matrix", "sshape", "--literal-decay"],
+    ["--matrix", "kahan", "--literal-decay"],
+    ["--matrix", "file:{src}", "--m", "30"],
+    ["--matrix", "file:{src}", "--n", "20"],
+], ids=lambda flags: flags[1].split(":")[0] + flags[2])
+def test_unread_matrix_flag_exit_1(tmp_path, capsys, command, flags):
+    # a flag the chosen --matrix would ignore is refused, not dropped
+    src = tmp_path / "in.bin"
+    urv.save_matrix_binary(src, urv.gaussian_matrix(30, 20, urv.RngSeed(5)))
+    argv = [command[0], *(f.format(src=src) for f in flags), *command[1:],
+            *(["--out", str(tmp_path / "o.csv")] if command[0] == "bench" else [])]
+    assert main(argv) == 1
+    assert f"urv: error: {flags[2]} does not apply to --matrix" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+
 def test_manifest_next_to_csv(tmp_path):
     # a dot in a directory name must not cut the manifest path short
     out_dir = tmp_path / "res.v2"

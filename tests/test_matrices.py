@@ -107,11 +107,6 @@ class TestKahan:
 
 
 class TestSpecRoundTrip:
-    def test_json(self):
-        spec = urv.MatrixSpec("fast", 200, 160, urv.RngSeed(7, 2), {"literal": True})
-        again = urv.MatrixSpec.from_json(spec.to_json())
-        assert again == spec
-
     def test_from_spec_dispatch(self):
         for kind in ("fast", "slow", "sshape"):
             a, d = urv.from_spec(urv.MatrixSpec(kind, 60, 40, urv.RngSeed(3)))
