@@ -18,13 +18,22 @@ to the flags that call reads, which also decide what the manifest records.
 Exit codes: 0 success, 1 invalid arguments or file errors, 2 numerical
 failure.
 
+``bench`` and ``lemma`` own their process: on an input with fewer than
+``_ONE_THREAD_BELOW`` columns (``min(a.shape)``) they run on one thread
+of numpy's OpenBLAS pool, where a second thread costs more than it saves,
+and restore the pool's size when they return or fail.  ``timing`` and the
+library functions leave the pool as they find it.
+
 Every CSV is accompanied by a manifest carrying the matrix spec, the
 algorithm parameters, the seed, and the library version: with the same
-BLAS library and BLAS thread count, that tuple is enough to reproduce the
-CSV bit for bit (timing files excepted).  A different thread count can
-change the last bits, because the BLAS sums in a different order.  The
-manifest records numpy's BLAS, the numpy and Python versions and every
-``*_NUM_THREADS`` environment variable, so that condition can be checked.
+BLAS library, that tuple is enough to reproduce the CSV bit for bit
+(timing files excepted).  Below ``_ONE_THREAD_BELOW`` columns the pool
+size is always 1, so the bytes do not depend on ``OPENBLAS_NUM_THREADS``;
+above it, a different thread count can change the last bits, because the
+BLAS sums in a different order.  The manifest records numpy's BLAS, the
+pool size in effect (``blas_threads``), the numpy and Python versions and
+every ``*_NUM_THREADS`` environment variable, so that condition can be
+checked.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import cpqr, householder_qr
+from .core import blas_threads, cpqr, householder_qr
 from .diagnostics import (
     error_profile,
     lemma_check,
@@ -71,6 +80,15 @@ from .matrices import (
 from .random import RngSeed, gaussian_matrix
 
 ALGORITHMS = ("ddh", "powerurv", "qlp", "rsvd", "cpqr")
+
+# ``bench`` and ``lemma`` run on one BLAS thread below this many columns.
+# In-process ``main()`` on slow decay, 1 thread against 2, interleaved
+# (2 cores, OpenBLAS 0.3.31 Haswell), 1-thread time / 2-thread time:
+# lemma 0.68 at 200x160, 0.82 at 320^2, 0.85 at 2000x200, then 1.08 at
+# 512^2, 1.16 at 768^2, 1.22 at 1024^2; bench 0.77-0.92 from 320^2 to
+# 4096x256, 0.88-0.95 at 512^2, 1.00 at 768^2.  At ~400 neither command
+# gets slower.
+_ONE_THREAD_BELOW = 400
 
 
 class UsageError(Exception):
@@ -192,8 +210,7 @@ def _blas() -> dict:
             "config": blas.get("openblas configuration")}
 
 
-def _run_bench(args) -> int:
-    spec, a = _resolve_matrix(args)
+def _run_bench(args, spec, a, threads: int) -> int:
     call, reads = _ALGORITHMS[args.alg]
     if "ell" in reads and args.ell is None:
         raise UsageError(f"--alg {args.alg} requires --ell")
@@ -230,6 +247,7 @@ def _run_bench(args) -> int:
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "blas": _blas(),
+        "blas_threads": threads,
         "num_threads_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
         "outputs": [str(out)],
     }
@@ -245,8 +263,7 @@ def _run_bench(args) -> int:
     return 0
 
 
-def _run_lemma(args) -> int:
-    spec, a = _resolve_matrix(args)
+def _run_lemma(args, a) -> int:
     d = lemma_check(a, args.ell, q=args.q, seed=RngSeed(args.seed),
                     reorth=not args.no_reorth)
     print(f"lemma discrepancy: {d:.17g}")
@@ -301,11 +318,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not 0 <= args.seed < 1 << 64:
             raise UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
-        if args.command == "bench":
-            return _run_bench(args)
-        if args.command == "lemma":
-            return _run_lemma(args)
-        return _run_timing(args)
+        if args.command == "timing":
+            return _run_timing(args)
+        spec, a = _resolve_matrix(args)
+        with blas_threads(1 if min(a.shape) < _ONE_THREAD_BELOW else None) as threads:
+            if args.command == "bench":
+                return _run_bench(args, spec, a, threads)
+            return _run_lemma(args, a)
     # LinAlgError subclasses ValueError, so it is caught first
     except (RankCollapseError, np.linalg.LinAlgError) as exc:
         print(f"urv: numerical failure: {exc}", file=sys.stderr)

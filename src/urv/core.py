@@ -25,11 +25,13 @@ The QRs and the LU call the LAPACK inside numpy's own OpenBLAS
 through ``ctypes``, so the package runs on one BLAS runtime and
 loads no second library.  numpy wheels built against scipy-openblas64
 (tested: the 2.4.6 wheel) export it as ILP64 ``scipy_<name>_64_``; on
-any other numpy build ``import urv`` raises ``ImportError``.
+any other numpy build ``import urv`` raises ``ImportError``.  The same
+handle reads and sets that OpenBLAS's thread pool (``blas_threads``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 from typing import NamedTuple
 
@@ -52,6 +54,9 @@ _SIGNATURES = {
 try:
     _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     _LAPACK = {name: getattr(_lib, f"scipy_{name}_64_") for name in _SIGNATURES}
+    # the size of the same OpenBLAS's thread pool (C int), read and set
+    _GET_THREADS = _lib.scipy_openblas_get_num_threads64_
+    _SET_THREADS = _lib.scipy_openblas_set_num_threads64_
 except (AttributeError, OSError) as exc:
     raise ImportError(
         f"urv needs numpy's bundled ILP64 scipy-openblas LAPACK (symbols scipy_<name>_64_ "
@@ -62,6 +67,8 @@ for _name, _fn in _LAPACK.items():
     _types, _tail = _SIGNATURES[_name]
     _fn.argtypes = [*_types, *_TAILS[_tail]]
     _fn.restype = None
+_GET_THREADS.argtypes, _GET_THREADS.restype = [], ctypes.c_int
+_SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
 
 # Recompute a downdated column norm from scratch once it has shrunk below
 # this fraction of its reference value (guards catastrophic cancellation).
@@ -115,6 +122,24 @@ def max_exponent(a) -> int:
     [1/2, 1), where squares can neither overflow nor underflow.
     """
     return int(np.frexp(np.abs(a).max(initial=0.0))[1])
+
+
+@contextlib.contextmanager
+def blas_threads(n: int | None = None):
+    """Run a block with numpy's OpenBLAS pool at ``n`` threads, then restore its size.
+
+    ``n=None`` leaves the size as it is.  Yields the size in effect in the
+    block.  The pool is process-wide state, so only code that owns its
+    process (the ``urv`` command line) sets it; every library function
+    leaves the pool as it finds it.
+    """
+    before = _GET_THREADS()
+    if n is not None:
+        _SET_THREADS(n)
+    try:
+        yield _GET_THREADS()
+    finally:
+        _SET_THREADS(before)
 
 
 def _lapack(name: str, *args) -> int:

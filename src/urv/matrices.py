@@ -54,6 +54,10 @@ class MatrixSpec:
     seed: RngSeed = RngSeed(0)
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # a manifest stores the seed as a [seed, stream] list
+        object.__setattr__(self, "seed", as_seed(self.seed))
+
 
 def _haar_columns(m, n, seed):
     """m x n matrix with Haar-distributed orthonormal columns."""

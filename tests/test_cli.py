@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import urv
+import urv.cli
+from urv.core import blas_threads
 from urv.cli import main
+
+
+def _pool_size():
+    """The size of numpy's OpenBLAS thread pool, as the getter reads it."""
+    with blas_threads() as n:
+        return n
 
 
 def test_bench_row_count(tmp_path, capsys):
@@ -59,6 +67,94 @@ def test_csv_reproducible_at_fixed_thread_count(tmp_path, threads):
                        env=env, check=True, capture_output=True, timeout=300)
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_csv_identical_across_thread_counts(tmp_path):
+    # below _ONE_THREAD_BELOW columns the CLI runs on one BLAS thread
+    # whatever OPENBLAS_NUM_THREADS says, so the bytes do not depend on it
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = tmp_path / f"t{threads}.csv"
+        subprocess.run([sys.executable, "-m", "urv.cli", "bench", "--matrix", "bie",
+                        "--alg", "powerurv", "--q", "2", "--seed", "3", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        lemma = subprocess.run([sys.executable, "-m", "urv.cli", "lemma", "--matrix", "slow",
+                                "--ell", "60", "--seed", "3"],
+                               env=env, check=True, capture_output=True, timeout=300)
+        outputs.append((out.read_bytes(), lemma.stdout))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bench", "--matrix", "slow", "--m", "30", "--n", "20", "--alg", "qlp"], 0),
+    (["lemma", "--matrix", "slow", "--m", "30", "--n", "20", "--ell", "5"], 0),
+    (["bench", "--matrix", "slow", "--m", "30", "--n", "20", "--alg", "rsvd"], 1),
+    (["bench", "--matrix", "file:{zero}", "--alg", "powerurv"], 2),
+], ids=["bench-0", "lemma-0", "rsvd-without-ell-1", "zero-powerurv-2"])
+def test_blas_pool_restored(tmp_path, monkeypatch, capsys, argv, code):
+    # bench and lemma set the pool to one thread for a small input and put
+    # back the size it had, whether they succeed or fail
+    zero = tmp_path / "zero.csv"
+    urv.save_matrix_csv(zero, np.zeros((6, 4)))
+    seen = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            seen.append(_pool_size())
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("qlp", "lemma_check", "power_urv"):
+        monkeypatch.setattr(urv.cli, name, recorded(getattr(urv.cli, name)))
+    argv = [arg.format(zero=zero) for arg in argv]
+    if argv[0] == "bench":
+        argv += ["--out", str(tmp_path / "o.csv")]
+    with blas_threads(2):
+        assert main(argv) == code
+        assert _pool_size() == 2
+    assert seen == ([] if code == 1 else [1])
+
+
+def test_manifest_blas_threads(tmp_path, monkeypatch):
+    # the manifest records the pool size the factorization ran on: one
+    # thread at the paper size, the size as found from _ONE_THREAD_BELOW up
+    out = tmp_path / "p.csv"
+    with blas_threads(2):
+        assert main(["bench", "--matrix", "slow", "--alg", "qlp", "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "p.json").read_text())["blas_threads"] == 1
+        monkeypatch.setattr(urv.cli, "_ONE_THREAD_BELOW", 20)
+        assert main(["bench", "--matrix", "slow", "--m", "30", "--n", "20", "--alg", "qlp",
+                     "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "p.json").read_text())["blas_threads"] == 2
+
+
+def test_timing_keeps_blas_pool(tmp_path, monkeypatch, capsys):
+    # timing measures the kernels at the pool size it finds
+    original, seen = urv.cli.householder_qr, []
+
+    def recorded(a):
+        seen.append(_pool_size())
+        return original(a)
+
+    monkeypatch.setattr(urv.cli, "householder_qr", recorded)
+    with blas_threads(2):
+        assert main(["timing", "--sizes", "16", "--reps", "2", "--algs", "qr",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+    assert seen == [2, 2]
+
+
+def test_manifest_spec_equals_original(tmp_path):
+    # the spec rebuilt from a manifest is the spec that wrote it, seed included
+    out = tmp_path / "s.csv"
+    assert main(["bench", "--matrix", "slow", "--m", "40", "--n", "30", "--alg", "ddh",
+                 "--seed", "7", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "s.json").read_text())
+    spec = urv.MatrixSpec(**manifest["spec"])
+    original = urv.MatrixSpec("slow", 40, 30, urv.RngSeed(7))
+    assert spec == original
+    assert urv.matrices.matrix_streams(spec) == urv.matrices.matrix_streams(original)
 
 
 def test_manifest_streams(tmp_path):

@@ -387,6 +387,16 @@ def test_linalg_only_in_core():
     assert not found, "numpy.linalg outside urv.core:\n" + "\n".join(found)
 
 
+def test_blas_pool_only_in_core_and_cli():
+    # numpy's OpenBLAS pool is process-wide: core binds its setter and only
+    # the command line, which owns its process, sets it
+    sources = {path.name: path.read_text()
+               for path in sorted(Path(urv.__file__).parent.glob("*.py"))}
+    assert "set_num_threads" in sources["core.py"]
+    assert {name for name, text in sources.items()
+            if "set_num_threads" in text or "blas_threads" in text} <= {"core.py", "cli.py"}
+
+
 @pytest.mark.parametrize("source,expected", [
     ("import numpy as np\nnp.linalg.svd(a)", ["np.linalg.svd"]),
     ("import numpy\nnumpy.linalg.qr(a)", ["np.linalg.qr"]),

@@ -118,6 +118,13 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError):
             urv.from_spec(urv.MatrixSpec("nope", 4, 4))
 
+    def test_seed_coerced(self):
+        # an int or a [seed, stream] pair, as a manifest stores it
+        spec = urv.MatrixSpec("slow", 4, 3, urv.RngSeed(7))
+        assert urv.MatrixSpec("slow", 4, 3, 7) == spec
+        assert urv.MatrixSpec("slow", 4, 3, [7, 0]) == spec
+        assert urv.MatrixSpec("slow", 4, 3, [7, 0]).seed == urv.RngSeed(7, 0)
+
     def test_haar_factors_independent_across_streams(self):
         a1, _ = urv.gen_slow_decay(40, 30, seed=urv.RngSeed(5, 0))
         a2, _ = urv.gen_slow_decay(40, 30, seed=urv.RngSeed(5, 1))
