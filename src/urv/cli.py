@@ -11,12 +11,13 @@ Three subcommands drive the library end to end:
     median wall-clock times of the factorization kernels over a size
     sweep (informational; never part of acceptance gating)
 
-Both ``bench`` and ``timing`` run the algorithms through one table,
-``_ALGORITHMS``: each name maps to the call made on the parsed flags and
-to the flags that call reads, which also decide what the manifest records.
+Two tables drive the commands.  ``_ALGORITHMS`` maps each algorithm to the
+call made on the parsed flags and to the flags it reads, which decide what
+the manifest records; ``bench`` and ``timing`` run through it.
+``urv.matrices.KINDS`` gives the fields and defaults the matrix flags read.
 
 Exit codes: 0 success, 1 invalid arguments or file errors, 2 numerical
-failure.
+failure, reported in place of numpy's overflow warnings, which are off.
 
 ``bench`` and ``lemma`` own their process: on an input with fewer than
 ``_ONE_THREAD_BELOW`` columns (``min(a.shape)``) they run on one thread
@@ -67,19 +68,8 @@ from .factorizations import (
     rsvd,
 )
 from .io import load_matrix
-from .matrices import (
-    DEFAULT_BIE_N,
-    DEFAULT_KAHAN_N,
-    DEFAULT_KAHAN_THETA,
-    DEFAULT_M,
-    DEFAULT_N,
-    MatrixSpec,
-    from_spec,
-    matrix_streams,
-)
+from .matrices import KINDS, MatrixSpec, from_spec, matrix_streams
 from .random import RngSeed, gaussian_matrix
-
-ALGORITHMS = ("ddh", "powerurv", "qlp", "rsvd", "cpqr")
 
 # ``bench`` and ``lemma`` run on one BLAS thread below this many columns.
 # In-process ``main()`` on slow decay, 1 thread against 2, interleaved
@@ -102,24 +92,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _matrix_help() -> str:
+    """The ``--matrix`` help: the kinds, then the defaults of each."""
+    return "|".join(KINDS) + " or file:<path>; defaults: " + "; ".join(
+        " ".join([kind, *(f"{k}={v}" for k, v in settable.items())])
+        for kind, (_, settable) in KINDS.items())
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="urv", description="Rank-revealing URV factorization benchmarks")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_matrix_flags(sp):
-        sp.add_argument("--matrix", required=True,
-                        help="fast|slow|sshape|bie|kahan or file:<path>")
+        sp.add_argument("--matrix", required=True, help=_matrix_help())
         sp.add_argument("--m", type=int, default=None, help="row count override")
         sp.add_argument("--n", type=int, default=None, help="column count override")
         sp.add_argument("--seed", type=int, default=0, help="base seed (u64)")
         sp.add_argument("--literal-decay", action="store_true", default=None,
                         help="use the literal fast-decay diagonal (underflows past k=17)")
-        sp.add_argument("--theta", type=float, default=None,
-                        help=f"kahan matrix angle (default {DEFAULT_KAHAN_THETA})")
+        sp.add_argument("--theta", type=float, default=None, help="kahan matrix angle")
 
     b = sub.add_parser("bench", help="factor a matrix and write profile CSV + manifest")
     add_matrix_flags(b)
-    b.add_argument("--alg", required=True, choices=ALGORITHMS)
+    # every entry but the qr kernel returns a factorization to profile
+    b.add_argument("--alg", required=True, choices=[a for a in _ALGORITHMS if a != "qr"])
     b.add_argument("--q", type=int, default=1, help="power iteration steps")
     b.add_argument("--no-reorth", action="store_true",
                    help="skip renormalization between power steps")
@@ -151,30 +147,25 @@ def _resolve_matrix(args):
     A matrix flag that the chosen ``--matrix`` does not read is an error.
     """
     name = args.matrix
-    kind = "file" if name.startswith("file:") else name
-    unread = {"m": kind in ("file", "bie", "kahan"), "n": kind == "file",
-              "theta": kind != "kahan", "literal_decay": kind != "fast"}
-    for flag, ignored in unread.items():
-        if ignored and getattr(args, flag) is not None:
-            raise UsageError(f"--{flag.replace('_', '-')} does not apply to --matrix {name}")
-    if kind == "file":
-        return None, load_matrix(name[len("file:"):])
-    if name in ("fast", "slow", "sshape"):
-        m = args.m if args.m is not None else DEFAULT_M
-        n = args.n if args.n is not None else DEFAULT_N
-        params = {}
-        if args.literal_decay:
-            params["literal"] = True
-        spec = MatrixSpec(name, m, n, RngSeed(args.seed), params)
-    elif name == "bie":
-        n = args.n if args.n is not None else DEFAULT_BIE_N
-        spec = MatrixSpec("bie", n, n, RngSeed(args.seed))
-    elif name == "kahan":
-        n = args.n if args.n is not None else DEFAULT_KAHAN_N
-        theta = args.theta if args.theta is not None else DEFAULT_KAHAN_THETA
-        spec = MatrixSpec("kahan", n, n, RngSeed(args.seed), {"theta": theta})
-    else:
+    is_file = name.startswith("file:")
+    if not (is_file or name in KINDS):
         raise UsageError(f"unknown matrix {name!r}")
+    values = {} if is_file else dict(KINDS[name][1])
+    # each matrix flag, with the spec field or param it sets
+    for key, flag, value in (("m", "--m", args.m), ("n", "--n", args.n),
+                             ("theta", "--theta", args.theta),
+                             ("literal", "--literal-decay", args.literal_decay)):
+        if value is not None:
+            if key not in values:
+                raise UsageError(f"{flag} does not apply to --matrix {name}")
+            values[key] = value
+    if is_file:
+        return None, load_matrix(name[len("file:"):])
+    n = values.pop("n")
+    m = values.pop("m", n)
+    # a switch left off is not recorded: a plain fast spec has no params
+    spec = MatrixSpec(name, m, n, RngSeed(args.seed),
+                      {key: value for key, value in values.items() if value is not False})
     a, _ = from_spec(spec)
     return spec, a
 
@@ -190,7 +181,6 @@ def _cpqr_as_urv(a) -> UrvFactorization:
 # patching ``urv.cli.<name>`` reaches it.
 _ALGORITHMS = {
     "qr": (lambda a, args: householder_qr(a), ()),
-    "cpqr": (lambda a, args: _cpqr_as_urv(a), ()),
     "ddh": (lambda a, args: ddh_urv(a, RngSeed(args.seed)), ("seed",)),
     "powerurv": (lambda a, args: power_urv(a, q=args.q, reorth=not args.no_reorth,
                                             seed=RngSeed(args.seed)),
@@ -199,6 +189,7 @@ _ALGORITHMS = {
     "rsvd": (lambda a, args: rsvd(a, args.ell, q=args.q, reorth=not args.no_reorth,
                                   seed=RngSeed(args.seed)),
              ("seed", "q", "reorth", "ell")),
+    "cpqr": (lambda a, args: _cpqr_as_urv(a), ()),
 }
 _TIMING_ALGS = tuple(name for name, (_, reads) in _ALGORITHMS.items() if "ell" not in reads)
 
@@ -321,7 +312,8 @@ def main(argv=None) -> int:
         if args.command == "timing":
             return _run_timing(args)
         spec, a = _resolve_matrix(args)
-        with blas_threads(1 if min(a.shape) < _ONE_THREAD_BELOW else None) as threads:
+        with (np.errstate(over="ignore", invalid="ignore"),
+              blas_threads(1 if min(a.shape) < _ONE_THREAD_BELOW else None) as threads):
             if args.command == "bench":
                 return _run_bench(args, spec, a, threads)
             return _run_lemma(args, a)

@@ -105,13 +105,13 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
-def validated_matrix(a, name: str = "a") -> np.ndarray:
+def validated_matrix(a) -> np.ndarray:
     """Return ``a`` as a float64 2-d array, rejecting non-finite entries."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+        raise ValueError(f"a must be 2-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("a contains non-finite entries")
     return arr
 
 

@@ -38,7 +38,7 @@ from .core import (
     validated_matrix,
 )
 from .core import cpqr  # noqa: F401  unused here; perfbench traces factorizations.cpqr
-from .random import RngSeed, as_seed, gaussian_matrix
+from .random import as_seed, gaussian_matrix
 
 
 class RankCollapseError(Exception):
@@ -58,8 +58,6 @@ class Provenance:
 
     algorithm: str
     q: int = 0
-    reorth: bool = True
-    seed: RngSeed | None = None
     warnings: tuple[str, ...] = ()
 
 
@@ -208,7 +206,7 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     _finite(r, "QR of A V")
     if tall:
         u = product(q0, u)
-    prov = Provenance("powerurv", q=q, reorth=reorth, seed=seed, warnings=tuple(warnings))
+    prov = Provenance("powerurv", q=q, warnings=tuple(warnings))
     return UrvFactorization(u, r, v, prov)
 
 
@@ -270,10 +268,10 @@ def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorizat
     warnings: list[str] = []
     qq = _sample_basis(a, gaussian_matrix(n, ell, seed), 2 * q + 1, reorth, warnings,
                        "range-finder QR")
-    tall = product(a.T, qq)
+    tall = _finite(product(a.T, qq), "product Q^T A")
     w_t = svd(tall)  # tall = v_r diag(sigma) w^T
     u = qq @ w_t.v
-    prov = Provenance("rsvd", q=q, reorth=reorth, seed=seed, warnings=tuple(warnings))
+    prov = Provenance("rsvd", q=q, warnings=tuple(warnings))
     return RsvdFactorization(u, w_t.sigma, w_t.u, prov)
 
 

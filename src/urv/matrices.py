@@ -173,9 +173,24 @@ def gen_kahan(n: int = DEFAULT_KAHAN_N, theta: float = DEFAULT_KAHAN_THETA) -> n
     return (s ** np.arange(n))[:, None] * t
 
 
+# Each kind: its generator, called on the spec and on the spec's params with
+# the kind's defaults filled in, and the spec fields and params a caller may
+# set, with their defaults.  A kind without ``m`` is square and draws no Haar
+# streams.  Each call looks ``gen_*`` up when it runs, so patching reaches it.
+KINDS = {
+    "fast": (lambda s, p: gen_fast_decay(s.m, s.n, s.seed, bool(p["literal"])),
+             {"m": DEFAULT_M, "n": DEFAULT_N, "literal": False}),
+    "slow": (lambda s, p: gen_slow_decay(s.m, s.n, s.seed), {"m": DEFAULT_M, "n": DEFAULT_N}),
+    "sshape": (lambda s, p: gen_s_shaped(s.m, s.n, s.seed), {"m": DEFAULT_M, "n": DEFAULT_N}),
+    "bie": (lambda s, p: (gen_bie(s.n), None), {"n": DEFAULT_BIE_N}),
+    "kahan": (lambda s, p: (gen_kahan(s.n, float(p["theta"])), None),
+              {"n": DEFAULT_KAHAN_N, "theta": DEFAULT_KAHAN_THETA}),
+}
+
+
 def matrix_streams(spec: MatrixSpec) -> dict:
-    """The named Philox streams ``from_spec`` draws (none for bie and kahan)."""
-    if spec.kind in ("bie", "kahan"):
+    """The named Philox streams ``from_spec`` draws (none for the square kinds)."""
+    if "m" not in KINDS[spec.kind][1]:
         return {}
     return {"matrix_u": spec.seed.spawn(_U_STREAM), "matrix_v": spec.seed.spawn(_V_STREAM)}
 
@@ -186,14 +201,7 @@ def from_spec(spec: MatrixSpec):
     Returns ``(a, sigma)``; sigma is None for the kinds whose spectrum
     is not prescribed (bie, kahan).
     """
-    if spec.kind == "fast":
-        return gen_fast_decay(spec.m, spec.n, spec.seed, bool(spec.params.get("literal", False)))
-    if spec.kind == "slow":
-        return gen_slow_decay(spec.m, spec.n, spec.seed)
-    if spec.kind == "sshape":
-        return gen_s_shaped(spec.m, spec.n, spec.seed)
-    if spec.kind == "bie":
-        return gen_bie(spec.n), None
-    if spec.kind == "kahan":
-        return gen_kahan(spec.n, float(spec.params.get("theta", DEFAULT_KAHAN_THETA))), None
-    raise ValueError(f"unknown matrix kind {spec.kind!r}")
+    if spec.kind not in KINDS:
+        raise ValueError(f"unknown matrix kind {spec.kind!r}")
+    generate, settable = KINDS[spec.kind]
+    return generate(spec, {**settable, **spec.params})

@@ -146,15 +146,23 @@ def test_timing_keeps_blas_pool(tmp_path, monkeypatch, capsys):
 
 
 def test_manifest_spec_equals_original(tmp_path):
-    # the spec rebuilt from a manifest is the spec that wrote it, seed included
-    out = tmp_path / "s.csv"
-    assert main(["bench", "--matrix", "slow", "--m", "40", "--n", "30", "--alg", "ddh",
-                 "--seed", "7", "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "s.json").read_text())
-    spec = urv.MatrixSpec(**manifest["spec"])
-    original = urv.MatrixSpec("slow", 40, 30, urv.RngSeed(7))
-    assert spec == original
-    assert urv.matrices.matrix_streams(spec) == urv.matrices.matrix_streams(original)
+    # the spec rebuilt from a manifest is the spec that wrote it, seed
+    # included; without size flags each kind writes its defaults
+    out, seed = tmp_path / "s.csv", urv.RngSeed(7)
+    for flags, original in [
+        (["slow", "--m", "40", "--n", "30"], urv.MatrixSpec("slow", 40, 30, seed)),
+        (["fast"], urv.MatrixSpec("fast", 200, 160, seed)),
+        (["slow"], urv.MatrixSpec("slow", 200, 160, seed)),
+        (["sshape"], urv.MatrixSpec("sshape", 200, 160, seed)),
+        (["bie"], urv.MatrixSpec("bie", 200, 200, seed)),
+        (["kahan"], urv.MatrixSpec("kahan", 96, 96, seed, {"theta": 1.2})),
+    ]:
+        assert main(["bench", "--matrix", *flags, "--alg", "ddh", "--seed", "7",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "s.json").read_text())
+        spec = urv.MatrixSpec(**manifest["spec"])
+        assert spec == original
+        assert urv.matrices.matrix_streams(spec) == urv.matrices.matrix_streams(original)
 
 
 def test_manifest_streams(tmp_path):
@@ -412,17 +420,27 @@ def test_sample_overflow_exit_2(tmp_path, capsys):
         assert ("numerical failure" in capsys.readouterr().err) == bool(expected)
 
 
-@pytest.mark.parametrize("alg", ["ddh", "qlp"])
+@pytest.mark.parametrize("alg", [["ddh"], ["qlp"], ["rsvd", "--ell", "1", "--q", "0"]],
+                         ids=lambda alg: alg[0])
 def test_factor_overflow_exit_2(tmp_path, capsys, alg):
-    # max|a| = 1.5e308: A V (ddh) or the pivoted R factor (qlp) overflows
-    a, _ = urv.gen_slow_decay(60, 40, seed=0)
+    # max|a| = 1.5e308: A V (ddh) or the pivoted R factor (qlp) overflows;
+    # for rsvd a first column of 1.2e308 keeps the sample finite, not Q^T A
+    if alg[0] == "rsvd":
+        a = np.zeros((200, 160))
+        a[:, 0] = 1.2e308
+    else:
+        a, _ = urv.gen_slow_decay(60, 40, seed=0)
+        a = (a / np.abs(a).max()) * 1.5e308
     src = tmp_path / "huge.bin"
-    urv.save_matrix_binary(src, (a / np.abs(a).max()) * 1.5e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["bench", "--matrix", f"file:{src}", "--alg", alg,
+    urv.save_matrix_binary(src, a)
+    # the CLI silences numpy's overflow warnings itself: stderr holds one line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bench", "--matrix", f"file:{src}", "--alg", *alg,
                      "--out", str(tmp_path / "o.csv")])
     assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("urv: numerical failure: ") and err.count("\n") == 1
 
 
 def test_timing_command(tmp_path, capsys):

@@ -407,6 +407,15 @@ class TestCrossAlgorithmProperties:
             with pytest.raises(urv.RankCollapseError, match="overflow"):
                 _SCALED_RUNS[alg](b)
 
+    def test_rsvd_range_product_overflow_is_numerical_error(self):
+        # a first column of 1.2e308: with q = 0 the sample and its Q are
+        # finite, but Q^T A holds sqrt(200) * 1.2e308
+        b = np.zeros((200, 160))
+        b[:, 0] = 1.2e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(urv.RankCollapseError, match="overflow"):
+                urv.rsvd(b, 1, q=0, seed=0)
+
     def test_eckart_young_bound(self, matrix_sshape):
         a, _ = matrix_sshape
         sref = urv.reference_singular_values(a)

@@ -1,5 +1,8 @@
 """Benchmark matrix generators."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -129,3 +132,38 @@ class TestSpecRoundTrip:
         a1, _ = urv.gen_slow_decay(40, 30, seed=urv.RngSeed(5, 0))
         a2, _ = urv.gen_slow_decay(40, 30, seed=urv.RngSeed(5, 1))
         assert not np.allclose(a1, a2)
+
+
+def _kind_literals(tree):
+    """(line, value) of each string constant equal to a matrix kind, docstrings aside."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in urv.matrices.KINDS and id(node) not in docstrings]
+
+
+def test_kinds_only_in_matrices():
+    # each matrix kind is declared once, in urv.matrices.KINDS: another
+    # module that names one restates a per-kind fact
+    found = []
+    for path in sorted(Path(urv.__file__).parent.glob("*.py")):
+        if path.name != "matrices.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}: {value!r}" for line, value in _kind_literals(tree)]
+    assert not found, "matrix kind named outside urv.matrices:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ('x = "bie"', ["bie"]),
+    ('f(kind="kahan")', ["kahan"]),
+    ('x = ("fast", "slow")', ["fast", "slow"]),
+    ('"""bie"""', []),
+    ('def f():\n    """kahan"""', []),
+    ('x = "kahan matrix angle"', []),
+    ('x = f"{kind} sshape"', []),
+])
+def test_kind_guard_flags(source, expected):
+    assert [value for _, value in _kind_literals(ast.parse(source))] == expected

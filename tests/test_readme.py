@@ -5,12 +5,19 @@ from pathlib import Path
 
 import pytest
 
+import urv.cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
 
 
 def test_readme_has_python_blocks():
     assert BLOCKS
+
+
+def test_readme_matrix_flags_from_table():
+    # the README quotes the --matrix help, which urv.matrices.KINDS generates
+    assert f"--matrix {urv.cli._matrix_help()}\n" in README.read_text()
 
 
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
