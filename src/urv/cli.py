@@ -20,9 +20,10 @@ Exit codes: 0 success, 1 invalid arguments or file errors, 2 numerical
 failure, reported in place of numpy's overflow warnings, which are off.
 
 ``bench`` and ``lemma`` own their process: on an input with fewer than
-``_ONE_THREAD_BELOW`` columns (``min(a.shape)``) they run on one thread
-of numpy's OpenBLAS pool, where a second thread costs more than it saves,
-and restore the pool's size when they return or fail.  ``timing`` and the
+``_ONE_THREAD_BELOW`` columns (``min(a.shape)``, read from the spec before
+a generated input is made) they generate, factor and profile it on one
+thread of numpy's OpenBLAS pool, where a second thread costs more than it
+saves, and restore the pool's size when they return or fail.  ``timing`` and the
 library functions leave the pool as they find it.
 
 Every CSV is accompanied by a manifest carrying the matrix spec, the
@@ -142,9 +143,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_matrix(args):
-    """Build (spec, matrix) from CLI flags; spec is None for file input.
+    """``(spec, None)`` for a generated input, ``(None, matrix)`` for file input.
 
-    A matrix flag that the chosen ``--matrix`` does not read is an error.
+    A file is loaded here, which takes no BLAS; a spec is generated by the
+    caller, on the pool it is factored on.  A matrix flag that the chosen
+    ``--matrix`` does not read is an error.
     """
     name = args.matrix
     is_file = name.startswith("file:")
@@ -164,10 +167,8 @@ def _resolve_matrix(args):
     n = values.pop("n")
     m = values.pop("m", n)
     # a switch left off is not recorded: a plain fast spec has no params
-    spec = MatrixSpec(name, m, n, RngSeed(args.seed),
-                      {key: value for key, value in values.items() if value is not False})
-    a, _ = from_spec(spec)
-    return spec, a
+    return MatrixSpec(name, m, n, RngSeed(args.seed),
+                      {key: value for key, value in values.items() if value is not False}), None
 
 
 def _cpqr_as_urv(a) -> UrvFactorization:
@@ -312,8 +313,11 @@ def main(argv=None) -> int:
         if args.command == "timing":
             return _run_timing(args)
         spec, a = _resolve_matrix(args)
+        cols = min(spec.m, spec.n) if spec else min(a.shape)
         with (np.errstate(over="ignore", invalid="ignore"),
-              blas_threads(1 if min(a.shape) < _ONE_THREAD_BELOW else None) as threads):
+              blas_threads(1 if cols < _ONE_THREAD_BELOW else None) as threads):
+            if spec:
+                a, _ = from_spec(spec)
             if args.command == "bench":
                 return _run_bench(args, spec, a, threads)
             return _run_lemma(args, a)

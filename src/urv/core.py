@@ -5,7 +5,8 @@ QR (``geqp3``, the BLAS-3 algorithm of Quintana-Orti, Sun & Bischof
 1998), a column-pivoted QR whose pivoting and norm downdating are
 hand-written, the P L D basis of a LAPACK partial-pivoted LU (``getrf``
 and ``laswp``, the renormalization of the intermediate power steps), a
-dense SVD, and spectral norms.  These are the building blocks for every
+dense SVD, singular values and spectral norms, and the eigenvalues of a
+symmetric matrix.  These are the building blocks for every
 factorization in the package.  All routines are pure functions of
 float64 arrays and never mutate their inputs.
 
@@ -17,7 +18,8 @@ copy.  The layout moves no value of a kernel: ``householder_qr`` and
 ``lu_basis`` give bitwise the same factors for an input in any layout.
 
 This module is the package's one seam to dense linear algebra: every SVD,
-QR and LU, and every product that is factored next, is a call here, so a
+QR, LU and eigenvalue call, and every product that is factored next, is a
+call here, so a
 tracer or flop counter wraps each kernel in one place.  Other modules take
 from ``numpy.linalg`` only ``LinAlgError`` and ``norm`` without ``ord``.
 
@@ -121,7 +123,8 @@ def max_exponent(a) -> int:
     Scaling by ``2**-e`` is exact and brings the largest entry into
     [1/2, 1), where squares can neither overflow nor underflow.
     """
-    return int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    # max|a| without the input-sized temporary of np.abs(a)
+    return int(np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1])
 
 
 @contextlib.contextmanager
@@ -404,10 +407,27 @@ def svd(a) -> SvdResult:
 
 def singular_values(a) -> np.ndarray:
     """Singular values only, nonincreasing."""
-    a = validated_matrix(a)
+    return svdvals(validated_matrix(a))
+
+
+def svdvals(a) -> np.ndarray:
+    """``singular_values`` of a finite 2-d float64 array, without checking it.
+
+    For blocks of a matrix the caller has already checked, so that a pass
+    over many blocks checks the matrix once.
+    """
     if min(a.shape) == 0:
         return np.zeros(0)
     return np.linalg.svd(a, compute_uv=False)
+
+
+def eigvalsh(a) -> np.ndarray:
+    """Eigenvalues of a finite symmetric float64 matrix, nondecreasing; values only.
+
+    Reads the lower triangle, and, like ``svdvals``, does not check ``a``:
+    it takes Gram matrices formed from data the caller has checked.
+    """
+    return np.linalg.eigvalsh(a)
 
 
 def spectral_norm(a) -> float:

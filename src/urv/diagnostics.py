@@ -20,13 +20,27 @@ factorization and the loss of orthonormality in u and v.
 
 A rank whose trailing-block norm exceeds ``CERTIFY_FACTOR * eta_k``
 takes that norm as its spectral error; every other rank, the
-roundoff-level tail, gets an exact SVD of its residual matrix.  RSVD
-profiles use exact residual SVDs up to rank ell.  Frobenius errors are
-exact at every rank.
+roundoff-level tail, gets an exact SVD of its residual matrix.  Frobenius
+errors are exact at every rank.
+
+Two Gram-matrix passes replace an SVD per rank, each exact to roundoff.
+Because r is upper triangular, (r r^T)[k:, k:] = r22 r22^T exactly, so
+``smax_r22`` reads sqrt(lambda_max) of the blocks of one product r r^T,
+formed after scaling r by ``2**-max_exponent(r)``.  The rank-k residual
+of an RSVD of rank ell is E + u[:, k:ell] diag(sigma[k:ell]) v[:, k:ell]^T
+with u^T E = 0 (Halko, Martinsson & Tropp 2011), so its Gram matrix is
+E^T E plus the terms sigma_j^2 v_j v_j^T, j = k..ell-1: walking k from
+ell down to 0 adds one positive semidefinite term per rank, nothing
+cancels, and each lambda_max is accurate relative to the norm of its
+Gram matrix.  A rank whose Gram eigenvalue lies below ``GRAM_FLOOR``,
+where squares of the entries may have underflowed, takes the exact SVD
+instead.  ``smin_r11`` stays on the SVDs of the leading blocks.
 ``error_profile`` measures ``a * 2**-max_exponent(a)`` and scales the
 norms back: exact, and free of overflow and underflow.
 
-Every SVD here is a ``core.singular_values`` or ``core.spectral_norm`` call.
+Every SVD here is a ``core.svdvals``, ``core.singular_values`` or
+``core.spectral_norm`` call and every eigenvalue a ``core.eigvalsh`` call;
+r is checked finite once per pass, not once per block.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import max_exponent, singular_values, spectral_norm, validated_matrix
+from .core import eigvalsh, max_exponent, spectral_norm, svdvals, validated_matrix
 from .factorizations import RsvdFactorization, UrvFactorization, power_urv, rsvd
 
 CSV_HEADER = "k,abs_sp,abs_fro,rel_sp,rel_fro,sigma_ref,smin_r11,smax_r22"
@@ -48,6 +62,12 @@ LEVEL2 = "level2"
 # A URV rank takes ||r[k:, k:]||_2 as its spectral error when that norm
 # exceeds this multiple of its slack eta_k (see the module docstring).
 CERTIFY_FACTOR = 1e3
+
+# A Gram matrix whose largest eigenvalue is below this floor gives way to
+# an SVD.  Its matrix is scaled to entries of at most 1, so the floor sits
+# far above 2**-1022, where squares of entries start to underflow: above
+# it, what underflowed is below 2**-120 of the eigenvalue.
+GRAM_FLOOR = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -98,13 +118,26 @@ class FlopModel:
 def reference_singular_values(a) -> np.ndarray:
     """sigma_{k+1}(a) for k = 0..n: the singular values padded with 0."""
     a = validated_matrix(a)
-    s = singular_values(a)
+    s = svdvals(a)
     return np.concatenate([s, np.zeros(a.shape[1] + 1 - s.size)])
 
 
+def _gram_norm(gram) -> float:
+    """sqrt(lambda_max(gram)), or NaN below ``GRAM_FLOOR``, where an SVD must decide."""
+    lam = eigvalsh(gram)[-1]
+    return float(np.sqrt(lam)) if lam >= GRAM_FLOOR else np.nan
+
+
 def _trailing_spectral_norms(r) -> np.ndarray:
-    """||r[k:, k:]||_2 for k = 0..n (0 at k = n)."""
-    return np.array([spectral_norm(r[k:, k:]) for k in range(r.shape[0] + 1)])
+    """||r[k:, k:]||_2 for k = 0..n (0 at k = n) of a finite upper-triangular r."""
+    n = r.shape[0]
+    scale = max_exponent(r)
+    r = np.ldexp(r, -scale)
+    gram = r @ r.T
+    norms = np.array([_gram_norm(gram[k:, k:]) for k in range(n)] + [0.0])
+    for k in np.flatnonzero(np.isnan(norms)):
+        norms[k] = svdvals(r[k:, k:])[0]
+    return np.ldexp(norms, scale)
 
 
 def _low_rank_errors(a, u, rows, exact):
@@ -140,10 +173,22 @@ def _urv_errors(a, f: UrvFactorization, smax):
 
 
 def _rsvd_errors(a, f: RsvdFactorization):
-    """Per-rank errors of an RSVD; ranks past ell repeat the rank-ell ones."""
+    """Per-rank errors of an RSVD; ranks past ell repeat the rank-ell ones.
+
+    ``a`` has entries of at most 1, so the Gram matrices cannot overflow.
+    """
     rows = f.sigma[:, None] * f.v.T
     ell = f.sigma.size
-    sp, fro = _low_rank_errors(a, f.u, rows, np.ones(ell + 1, bool))
+    resid = validated_matrix(a - f.u @ rows)  # E; checks the factors once
+    gram = resid.T @ resid
+    gram_sp = np.empty(ell + 1)
+    for k in range(ell, -1, -1):
+        gram_sp[k] = _gram_norm(gram)
+        if k:
+            gram += np.outer(rows[k - 1], rows[k - 1])
+    exact = np.isnan(gram_sp)
+    sp, fro = _low_rank_errors(a, f.u, rows, exact)
+    sp[~exact] = gram_sp[~exact]
     rank = np.minimum(np.arange(a.shape[1] + 1), ell)
     return sp[rank], fro[rank]
 
@@ -180,7 +225,8 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     if isinstance(f, RsvdFactorization):
         sp, fro = _rsvd_errors(a, replace(f, sigma=np.ldexp(f.sigma, -scale)))
     else:
-        smax = _trailing_spectral_norms(f.r) if reveal is None else reveal.smax_r22
+        smax = (_trailing_spectral_norms(validated_matrix(f.r)) if reveal is None
+                else reveal.smax_r22)
         sp, fro = _urv_errors(a, replace(f, r=np.ldexp(f.r, -scale)), np.ldexp(smax, -scale))
     sp, fro = np.ldexp(sp, scale), np.ldexp(fro, scale)
     return ErrorProfile(
@@ -206,9 +252,9 @@ def reveal_profile(f) -> RevealProfile:
         smin[1 : ell + 1] = f.sigma
         smax[:ell] = f.sigma
         return RevealProfile(smin, smax)
-    r = f.r
+    r = validated_matrix(f.r)
     n = r.shape[0]
-    smin = np.array([0.0] + [singular_values(r[:k, :k])[-1] for k in range(1, n + 1)])
+    smin = np.array([0.0] + [svdvals(r[:k, :k])[-1] for k in range(1, n + 1)])
     return RevealProfile(smin, _trailing_spectral_norms(r))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import EPS, _lapack, lu_basis, pivoted_qr, product
+from urv.core import EPS, _lapack, eigvalsh, lu_basis, max_exponent, pivoted_qr, product
 from urv.factorizations import _orth
 
 from conftest import jacobi_eigenvalues
@@ -326,6 +326,27 @@ class TestSvd:
         w2 = urv.haar_orthogonal(12, urv.RngSeed(101))
         s1 = urv.singular_values(w1 @ a @ w2)
         assert np.allclose(s0, s1, rtol=1e-10, atol=1e-12 * s0[0])
+
+
+class TestEigvalsh:
+    def test_against_jacobi_oracle(self):
+        a = urv.gaussian_matrix(20, 15, urv.RngSeed(5))
+        gram = a.T @ a
+        lam = eigvalsh(gram)
+        assert (np.diff(lam) >= 0).all()
+        assert np.allclose(lam[::-1], jacobi_eigenvalues(gram), rtol=1e-12,
+                           atol=1e-13 * lam[-1])
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((3, 2)), np.zeros((0, 4)), np.full((2, 2), -0.0), -np.arange(1.0, 7.0).reshape(3, 2),
+    np.array([[5e-324, -2e-310], [1e-315, 0.0]]), np.array([[1.7e308, -1.7e308]]),
+    np.array([[-1.7e308, 1.0]]), np.array([[0.5, -1.0], [0.75, 0.25]]),
+], ids=["zeros", "empty", "negative-zero", "all-negative", "subnormal", "max-both",
+        "max-negative", "power-of-two"])
+def test_max_exponent_is_frexp_of_max_abs(a):
+    # the form of max|a| that needs no np.abs temporary gives the same exponent
+    assert max_exponent(a) == int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
 
 class TestSpectralNorm:

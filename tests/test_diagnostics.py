@@ -106,13 +106,55 @@ class TestErrorProfile:
         f = urv.rsvd(a, ell, q=1, seed=0)
         p = urv.error_profile(a, f)
         sp, fro = _exact_errors(a, f.u, f.sigma[:, None] * f.v.T)
-        assert np.array_equal(p.abs_spectral[: ell + 1], sp)
+        # spectral errors come from Gram eigenvalues: exact to roundoff in sigma_1
+        assert (np.abs(p.abs_spectral[: ell + 1] - sp) <= 8 * urv.EPS * sp[0]).all()
         assert np.array_equal(p.abs_frobenius[: ell + 1], fro)
-        assert (p.abs_spectral[ell:] == sp[ell]).all()
+        assert (p.abs_spectral[ell:] == p.abs_spectral[ell]).all()
         assert (p.abs_frobenius[ell:] == fro[ell]).all()
+
+    def test_rsvd_residual_below_gram_floor(self):
+        # the rank-1 residual 2**-600 e_1 e_1^T has squares that underflow
+        # (its Gram matrix reads 0), so that rank takes the exact SVD
+        a = np.zeros((8, 6))
+        a[0, 0], a[1, 1] = 1.0, 2.0**-600
+        f = urv.rsvd(a, 1, q=1, seed=0)
+        p = urv.error_profile(a, f)
+        sp, _ = _exact_errors(a, f.u, f.sigma[:, None] * f.v.T)
+        assert sp[1] > 0.0
+        assert p.abs_spectral[1] == sp[1]
+        assert p.abs_spectral[0] == pytest.approx(sp[0], rel=1e-15)
+
+
+def _block_norms(r):
+    """Reference: ||r[k:, k:]||_2 by an SVD of each trailing block, 0 at k = n."""
+    n = r.shape[0]
+    return np.array([np.linalg.svd(r[k:, k:], compute_uv=False)[0] for k in range(n)] + [0.0])
 
 
 class TestRevealProfile:
+    @pytest.mark.parametrize("alg", sorted(_URV_RUNS))
+    @pytest.mark.parametrize("name, scale", [(name, 1.0) for name in PAPER_MATRICES]
+                             + [("slow", 1e300), ("slow", 1e-300)])
+    def test_trailing_norms_match_block_svds(self, request, name, scale, alg):
+        # smax_r22 comes from one Gram matrix r r^T: exact to roundoff in
+        # each block's own norm, and prescaled so that 1e300 cannot overflow
+        f = _URV_RUNS[alg](scale * _paper_matrix(request, name))
+        ref = _block_norms(f.r)
+        smax = urv.reveal_profile(f).smax_r22
+        assert smax[-1] == 0.0
+        assert (np.abs(smax[:-1] - ref[:-1]) <= 1e-14 * ref[:-1]).all()
+
+    def test_graded_diagonal_below_gram_floor(self):
+        # the squares of r's entries past the first underflow, so the Gram
+        # matrix of every trailing block but the whole reads 0: those take SVDs
+        d = 2.0 ** -np.array([0, 600, 700, 750, 800, 850])
+        a = np.vstack([np.diag(d), np.zeros((2, 6))])
+        f = urv.qlp(a)
+        ref = _block_norms(f.r)
+        smax = urv.reveal_profile(f).smax_r22
+        assert (ref[:-1] > 0.0).all()
+        assert np.array_equal(smax, ref)
+
     def test_exact_diagonal_case(self):
         a = np.diag([3.0, 2.0, 1.0])
         f = urv.qlp(a)
