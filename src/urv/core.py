@@ -1,14 +1,15 @@
 """Deterministic dense factorization kernels.
 
-LAPACK Householder QR normalized to diag(R) >= 0, LAPACK column-pivoted
-QR (``geqp3``, the BLAS-3 algorithm of Quintana-Orti, Sun & Bischof
-1998), a column-pivoted QR whose pivoting and norm downdating are
-hand-written, the P L D basis of a LAPACK partial-pivoted LU (``getrf``
-and ``laswp``, the renormalization of the intermediate power steps), a
-dense SVD, singular values and spectral norms, and the eigenvalues of a
-symmetric matrix.  These are the building blocks for every
-factorization in the package.  All routines are pure functions of
-float64 arrays and never mutate their inputs.
+LAPACK Householder QR, LAPACK column-pivoted QR (``geqp3``, the BLAS-3
+algorithm of Quintana-Orti, Sun & Bischof 1998) and a column-pivoted QR
+whose pivoting and norm downdating are hand-written, all three finished
+by one epilogue (``_q_and_r``: Q by ``dorgqr``, diag(R) >= 0), the P L D
+basis of a LAPACK partial-pivoted LU (``getrf`` and ``laswp``, the
+renormalization of the intermediate power steps), a dense SVD, singular
+values and spectral norms, and the eigenvalues of a symmetric matrix.
+These are the building blocks for every factorization in the package.
+All routines are pure functions of float64 arrays and never mutate
+their inputs.
 
 The LAPACK kernels return Fortran-order arrays, the layout LAPACK writes,
 and ``product`` writes ``x @ y`` in that order too, so a power iteration
@@ -207,11 +208,10 @@ def product(x, y) -> np.ndarray:
 def householder_qr(a) -> QrResult:
     """Householder QR of a tall matrix, normalized to ``diag(r) >= 0``.
 
-    LAPACK ``dgeqrf``/``dorgqr`` on one Fortran-order copy of ``a`` (a
-    plain copy when ``a`` is in Fortran order), followed by an exact sign
-    flip of the columns of ``q`` and rows of ``r`` whose diagonal entry is
-    negative.  The normalization makes the result unique and lets the Q
-    of a Gaussian matrix be exactly Haar distributed.
+    LAPACK ``dgeqrf`` on one Fortran-order copy of ``a`` (a plain copy
+    when ``a`` is in Fortran order), then ``_q_and_r``.  The normalization
+    makes the result unique and lets the Q of a Gaussian matrix be
+    exactly Haar distributed.
 
     Parameters
     ----------
@@ -234,26 +234,24 @@ def householder_qr(a) -> QrResult:
     f = np.array(a, order="F")
     tau = np.empty(n)
     _lapack("dgeqrf", m, n, f, max(1, m), tau)
-    r = _upper(f, n)
-    _lapack("dorgqr", m, n, n, f, max(1, m), tau)
-    return _positive_diagonal(f, r)
+    return QrResult(*_q_and_r(f, tau))
 
 
-def _upper(f, k):
-    """The upper trapezoid of the first ``k`` rows of ``f``, in Fortran order."""
-    return np.tril(f[:k].T).T
+def _q_and_r(f, tau):
+    """Fortran-order ``(q, r)``, ``diag(r) >= 0``, of LAPACK's compact QR in ``f``.
 
-
-def _positive_diagonal(q, r) -> QrResult:
-    """``(q, r)`` themselves, with the sign of every negative diagonal entry of r flipped.
-
-    Both are flipped in place and keep their layout: the Fortran order of
-    the LAPACK output they come from.
+    k = ``tau.size``; Q is formed in ``f``.  The +-1 multiply is exact and leaves -0.0 alone.
     """
-    neg = np.diagonal(r) < 0.0
-    q[:, neg] *= -1.0
-    r[neg, :] *= -1.0
-    return QrResult(q, r)
+    m, n = f.shape
+    k = tau.size
+    r = f[:k].copy(order="F")
+    np.copyto(r, 0.0, where=np.tri(k, n, -1, dtype=bool))
+    _lapack("dorgqr", m, k, k, f, max(1, m), tau)
+    q = f if k == n else f[:, :k].copy(order="F")
+    d = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    q *= d
+    r *= d[:, None]
+    return q, r
 
 
 def lu_basis(y) -> LuBasis:
@@ -322,9 +320,7 @@ def pivoted_qr(a) -> CpqrResult:
     perm = np.zeros(n, dtype=np.int64)  # zero: every column is free to pivot
     tau = np.empty(k)
     _lapack("dgeqp3", m, n, f, max(1, m), perm, tau)
-    r = _upper(f, k)
-    _lapack("dorgqr", m, k, k, f, max(1, m), tau)
-    q, r = _positive_diagonal(f if k == n else f[:, :k].copy(order="F"), r)
+    q, r = _q_and_r(f, tau)
     perm -= 1
     return CpqrResult(q, np.ldexp(r, scale, out=r), perm)
 
@@ -335,8 +331,8 @@ def cpqr(a) -> CpqrResult:
     Kept for ``urv bench --alg cpqr`` and the Kahan demonstration; ``qlp``
     runs on ``pivoted_qr``.  Only the pivoting recurrence is hand-written,
     because the pinned Kahan ratio (acceptance criterion 9) depends on it;
-    Q is formed from its reflectors, stored in LAPACK's form (v[0] = 1,
-    H = I - tau v v^T), by LAPACK ``dorgqr``.
+    each reflector (v[0] = 1, H = I - tau v v^T) is stored below the
+    diagonal, LAPACK's compact form, for the epilogue of the LAPACK QRs.
 
     At step j the remaining column of largest trailing norm is moved to
     position j (ties broken by lowest column index).  Trailing squared
@@ -350,8 +346,8 @@ def cpqr(a) -> CpqrResult:
     Returns
     -------
     CpqrResult
-        ``q`` (m, k), Fortran-contiguous, ``r`` (k, n) upper-trapezoidal
-        with nonincreasing diagonal magnitudes, and ``perm`` such that
+        ``q`` (m, k) and ``r`` (k, n) upper-trapezoidal with nonincreasing
+        diagonal magnitudes, both Fortran-contiguous, and ``perm`` such that
         ``a[:, perm] == q @ r`` up to roundoff, k = min(m, n).
     """
     a = validated_matrix(a)
@@ -360,7 +356,6 @@ def cpqr(a) -> CpqrResult:
     scale = max_exponent(a)
     r = np.ldexp(a, -scale, order="C")
     perm = np.arange(n)
-    vs = np.zeros((m, k), order="F")
     taus = np.zeros(k)
     norms2 = np.einsum("ij,ij->j", r, r)
     ref2 = norms2.copy()
@@ -376,9 +371,8 @@ def cpqr(a) -> CpqrResult:
         if tau != 0.0:
             w = tau * (v @ r[j:, j:])
             r[j:, j:] -= np.outer(v, w)
-        vs[j:, j] = v
+        r[j + 1 :, j] = v[1:]
         taus[j] = tau
-        r[j + 1 :, j] = 0.0
         if j + 1 < n:
             upd = norms2[j + 1 :] - r[j, j + 1 :] ** 2
             np.clip(upd, 0.0, None, out=upd)
@@ -390,8 +384,8 @@ def cpqr(a) -> CpqrResult:
                 ref2[cols] = fresh
             norms2[j + 1 :] = upd
 
-    _lapack("dorgqr", m, k, k, vs, max(1, m), taus)
-    return CpqrResult(vs, np.ldexp(r[:k, :], scale), perm)
+    q, r = _q_and_r(np.asfortranarray(r), taus)
+    return CpqrResult(q, np.ldexp(r, scale, out=r), perm)
 
 
 def svd(a) -> SvdResult:

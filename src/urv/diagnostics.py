@@ -21,7 +21,7 @@ factorization and the loss of orthonormality in u and v.
 A rank whose trailing-block norm exceeds ``CERTIFY_FACTOR * eta_k``
 takes that norm as its spectral error; every other rank, the
 roundoff-level tail, gets an exact SVD of its residual matrix.  Frobenius
-errors are exact at every rank.
+errors are exact at every rank, also where squares of entries underflow.
 
 Two Gram-matrix passes replace an SVD per rank, each exact to roundoff.
 Because r is upper triangular, (r r^T)[k:, k:] = r22 r22^T exactly, so
@@ -140,20 +140,28 @@ def _trailing_spectral_norms(r) -> np.ndarray:
     return np.ldexp(norms, scale)
 
 
-def _low_rank_errors(a, u, rows, exact):
+def _frobenius(x) -> float:
+    """||x||_F; below ``sqrt(GRAM_FLOOR)`` retaken of x scaled by ``2**-max_exponent(x)``."""
+    fro = float(np.linalg.norm(x))
+    if fro * fro < GRAM_FLOOR:
+        scale = max_exponent(x)
+        fro = float(np.ldexp(np.linalg.norm(np.ldexp(x, -scale)), scale))
+    return fro
+
+
+def _low_rank_errors(a, u, rows, sp):
     """Residual norms of a - u[:, :k] @ rows[:k, :] for k = 0..u.shape[1].
 
-    Frobenius norms are returned for every k, spectral norms only where
-    ``exact[k]`` (NaN elsewhere).
+    Returns ``(sp, fro)``: the Frobenius norms for every k, and ``sp``
+    itself with each NaN entry replaced in place by the spectral norm.
     """
     resid = a.copy()
     kmax = u.shape[1]
-    sp = np.full(kmax + 1, np.nan)
     fro = np.empty(kmax + 1)
     for k in range(kmax + 1):
-        if exact[k]:
+        if np.isnan(sp[k]):
             sp[k] = spectral_norm(resid)
-        fro[k] = np.linalg.norm(resid)
+        fro[k] = _frobenius(resid)
         if k < kmax:
             resid -= np.outer(u[:, k], rows[k, :])
     return sp, fro
@@ -161,15 +169,11 @@ def _low_rank_errors(a, u, rows, exact):
 
 def _urv_errors(a, f: UrvFactorization, smax):
     """Per-rank errors of a URV factorization, certified where possible."""
-    n = f.r.shape[0]
     rows = f.r @ f.v.T
-    eye = np.eye(n)
+    eye = np.eye(f.r.shape[0])
     orth = np.linalg.norm(f.u.T @ f.u - eye) + np.linalg.norm(f.v.T @ f.v - eye)
-    eta = np.linalg.norm(a - f.u @ rows) + orth * smax
-    certified = smax > CERTIFY_FACTOR * eta
-    sp, fro = _low_rank_errors(a, f.u, rows, ~certified)
-    sp[certified] = smax[certified]
-    return sp, fro
+    eta = _frobenius(a - f.u @ rows) + orth * smax
+    return _low_rank_errors(a, f.u, rows, np.where(smax > CERTIFY_FACTOR * eta, smax, np.nan))
 
 
 def _rsvd_errors(a, f: RsvdFactorization):
@@ -186,9 +190,7 @@ def _rsvd_errors(a, f: RsvdFactorization):
         gram_sp[k] = _gram_norm(gram)
         if k:
             gram += np.outer(rows[k - 1], rows[k - 1])
-    exact = np.isnan(gram_sp)
-    sp, fro = _low_rank_errors(a, f.u, rows, exact)
-    sp[~exact] = gram_sp[~exact]
+    sp, fro = _low_rank_errors(a, f.u, rows, gram_sp)
     rank = np.minimum(np.arange(a.shape[1] + 1), ell)
     return sp[rank], fro[rank]
 

@@ -196,6 +196,9 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
         raise ValueError(f"power_urv requires rows >= cols, got {m}x{n}")
     if q < 0:
         raise ValueError("q must be nonnegative")
+    if n == 0:  # no column to sample: the empty factors, as qlp returns them
+        return UrvFactorization(np.zeros((m, 0)), np.zeros((0, 0)), np.zeros((0, 0)),
+                                Provenance("powerurv", q=q))
     seed = as_seed(seed)
     warnings: list[str] = []
     tall = q >= 1 and m >= _TALL_RATIO * n

@@ -148,6 +148,7 @@ class _PivotedQrContract:
         assert (diag >= 0).all()
         assert (np.diff(diag) <= 1e-14 * diag[0]).all()
         assert np.array_equal(res.r, np.triu(res.r))
+        assert res.q.flags.f_contiguous and res.r.flags.f_contiguous
         bound = 10 * max(m, n) * EPS
         assert np.linalg.norm(res.q @ res.r - a[:, res.perm]) <= bound * np.linalg.norm(a)
         assert np.linalg.norm(res.q.T @ res.q - np.eye(k)) <= bound
@@ -406,6 +407,15 @@ def test_linalg_only_in_core():
             tree = ast.parse(path.read_text(), filename=str(path))
             found += [f"{path.name}:{line}: {use}" for line, use in _linalg_uses(tree)]
     assert not found, "numpy.linalg outside urv.core:\n" + "\n".join(found)
+
+
+def test_one_dorgqr_call():
+    # every QR ends in the one epilogue that forms Q from LAPACK's compact form
+    tree = ast.parse((Path(urv.__file__).parent / "core.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lapack"
+             and node.args and getattr(node.args[0], "value", None) == "dorgqr"]
+    assert len(calls) == 1, f"_lapack('dorgqr', ...) at core.py lines {calls}"
 
 
 def test_blas_pool_only_in_core_and_cli():

@@ -124,6 +124,18 @@ class TestErrorProfile:
         assert p.abs_spectral[1] == sp[1]
         assert p.abs_spectral[0] == pytest.approx(sp[0], rel=1e-15)
 
+    @pytest.mark.parametrize("factor", [
+        lambda a: urv.rsvd(a, 1, q=1, seed=0), lambda a: urv.power_urv(a, 1), urv.qlp,
+    ], ids=["rsvd", "powerurv", "qlp"])
+    def test_frobenius_below_gram_floor(self, factor):
+        # the rank-1 residual is 2**-600 e_2 e_2^T, whose square underflows:
+        # its Frobenius norm is retaken of the residual scaled by its own max
+        a = np.zeros((8, 6))
+        a[0, 0], a[1, 1] = 1.0, 2.0**-600
+        p = urv.error_profile(a, factor(a))
+        assert p.abs_frobenius[1] == pytest.approx(2.0**-600, rel=1e-15)
+        assert (p.abs_frobenius >= p.abs_spectral).all()
+
 
 def _block_norms(r):
     """Reference: ||r[k:, k:]||_2 by an SVD of each trailing block, 0 at k = n."""

@@ -172,6 +172,26 @@ def test_peak_memory(factor):
     assert peak <= 6 * a.nbytes
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (5, 0)])
+@pytest.mark.parametrize("factor", [
+    lambda a: urv.ddh_urv(a, seed=2),
+    lambda a: urv.power_urv(a, q=0, seed=2),
+    lambda a: urv.power_urv(a, q=1, seed=2),
+    lambda a: urv.power_urv(a, q=2, seed=2),
+    urv.qlp,
+], ids=["ddh", "0", "1", "2", "qlp"])
+def test_empty_input(factor, shape):
+    # an input without columns has nothing to sample: every algorithm
+    # returns empty factors, and both profiles read the one rank k = 0
+    a = np.zeros(shape)
+    f = factor(a)
+    assert (f.u.shape, f.r.shape, f.v.shape) == ((shape[0], 0), (0, 0), (0, 0))
+    err, rev = urv.error_profile(a, f), urv.reveal_profile(f)
+    for col in (err.abs_spectral, err.abs_frobenius, err.rel_spectral, err.rel_frobenius,
+                err.sigma_ref, rev.smin_r11, rev.smax_r22):
+        assert np.array_equal(col, [0.0])
+
+
 class TestPowerUrvTallPath:
     N = 20
 
