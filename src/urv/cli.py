@@ -15,6 +15,8 @@ Two tables drive the commands.  ``_ALGORITHMS`` maps each algorithm to the
 call made on the parsed flags and to the flags it reads, which decide what
 the manifest records; ``bench`` and ``timing`` run through it.
 ``urv.matrices.KINDS`` gives the fields and defaults the matrix flags read.
+``bench`` refuses, with exit code 1, a matrix or algorithm flag that the
+chosen ``--matrix`` or ``--alg`` does not read.
 
 Exit codes: 0 success, 1 invalid arguments or file errors, 2 numerical
 failure, reported in place of numpy's overflow warnings, which are off.
@@ -117,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_matrix_flags(b)
     # every entry but the qr kernel returns a factorization to profile
     b.add_argument("--alg", required=True, choices=[a for a in _ALGORITHMS if a != "qr"])
-    b.add_argument("--q", type=int, default=1, help="power iteration steps")
-    b.add_argument("--no-reorth", action="store_true",
+    b.add_argument("--q", type=int, default=None, help="power iteration steps (default 1)")
+    b.add_argument("--no-reorth", action="store_true", default=None,
                    help="skip renormalization between power steps")
     b.add_argument("--ell", type=int, default=None, help="rsvd sample size")
     b.add_argument("--out", default=None, help="output CSV path")
@@ -171,6 +173,22 @@ def _resolve_matrix(args):
                       {key: value for key, value in values.items() if value is not False}), None
 
 
+def _resolve_algorithm(args):
+    """Refuse an algorithm flag that ``--alg`` does not read; set ``--q``'s default.
+
+    ``--ell`` has no default, so an algorithm that reads it requires it.
+    """
+    reads = _ALGORITHMS[args.alg][1]
+    for key, flag, value in (("q", "--q", args.q), ("reorth", "--no-reorth", args.no_reorth),
+                             ("ell", "--ell", args.ell)):
+        if value is not None and key not in reads:
+            raise UsageError(f"{flag} does not apply to --alg {args.alg}")
+    if "ell" in reads and args.ell is None:
+        raise UsageError(f"--alg {args.alg} requires --ell")
+    if args.q is None:
+        args.q = 1
+
+
 def _cpqr_as_urv(a) -> UrvFactorization:
     res = cpqr(a)
     n = a.shape[1]
@@ -204,8 +222,6 @@ def _blas() -> dict:
 
 def _run_bench(args, spec, a, threads: int) -> int:
     call, reads = _ALGORITHMS[args.alg]
-    if "ell" in reads and args.ell is None:
-        raise UsageError(f"--alg {args.alg} requires --ell")
     t0 = time.perf_counter()
     fac = call(a, args)
     wall = time.perf_counter() - t0
@@ -312,6 +328,8 @@ def main(argv=None) -> int:
             raise UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
         if args.command == "timing":
             return _run_timing(args)
+        if args.command == "bench":
+            _resolve_algorithm(args)
         spec, a = _resolve_matrix(args)
         cols = min(spec.m, spec.n) if spec else min(a.shape)
         with (np.errstate(over="ignore", invalid="ignore"),

@@ -24,6 +24,11 @@ call here, so a
 tracer or flop counter wraps each kernel in one place.  Other modules take
 from ``numpy.linalg`` only ``LinAlgError`` and ``norm`` without ``ord``.
 
+An input is checked once, where it enters: each function that ``urv``
+exports checks its arrays with ``validated_matrix`` or ``finite_array``,
+whose error names the array, and the kernels it does not export
+(``lu_basis``, ``pivoted_qr``, ``svdvals``, ``eigvalsh``) check nothing.
+
 The QRs and the LU call the LAPACK inside numpy's own OpenBLAS
 through ``ctypes``, so the package runs on one BLAS runtime and
 loads no second library.  numpy wheels built against scipy-openblas64
@@ -113,8 +118,14 @@ def validated_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"a must be 2-dimensional, got shape {arr.shape}")
+    return finite_array(arr, "a")
+
+
+def finite_array(x, name: str) -> np.ndarray:
+    """Return ``x`` as a float64 array; a non-finite entry is a ``ValueError`` naming ``name``."""
+    arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
-        raise ValueError("a contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -273,8 +284,10 @@ def lu_basis(y) -> LuBasis:
 
     Parameters
     ----------
-    y : array_like, shape (m, n)
-        Matrix to factor, m >= n, finite entries.
+    y : ndarray, shape (m, n)
+        float64 matrix to factor, m >= n, with finite entries: a sample
+        that the caller (``factorizations._orth``) has already checked, so
+        it is not checked again here.
 
     Returns
     -------
@@ -283,7 +296,6 @@ def lu_basis(y) -> LuBasis:
         most 1 and a unit-magnitude entry in each column, and ``udiag`` (n,).
         Both are bitwise the same for ``y`` in any layout.
     """
-    y = validated_matrix(y)
     m, n = y.shape
     if m < n:
         raise ValueError(f"lu_basis requires rows >= cols, got {m}x{n}")
@@ -311,8 +323,10 @@ def pivoted_qr(a) -> CpqrResult:
     identity order, while roundoff in ``cpqr`` moves 46 columns.  ``q``
     and ``r`` are Fortran-contiguous; on a wide input ``q`` is a compact
     copy, not a view of the k x n LAPACK buffer.
+
+    ``a`` is a finite float64 2-d array, not checked here: ``qlp`` passes
+    its checked input's transpose and a matrix built from an R it checked.
     """
-    a = validated_matrix(a)
     m, n = a.shape
     k = min(m, n)
     scale = max_exponent(a)

@@ -39,8 +39,10 @@ instead.  ``smin_r11`` stays on the SVDs of the leading blocks.
 norms back: exact, and free of overflow and underflow.
 
 Every SVD here is a ``core.svdvals``, ``core.singular_values`` or
-``core.spectral_norm`` call and every eigenvalue a ``core.eigvalsh`` call;
-r is checked finite once per pass, not once per block.
+``core.spectral_norm`` call and every eigenvalue a ``core.eigvalsh`` call.
+Each public function checks every array it reads (``a``, the factors, a
+cached ``sigma_ref`` or ``smax_r22``) once, before any arithmetic, with a
+``ValueError`` that names the array; the private passes check nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import eigvalsh, max_exponent, spectral_norm, svdvals, validated_matrix
+from .core import eigvalsh, finite_array, max_exponent, spectral_norm, svdvals, validated_matrix
 from .factorizations import RsvdFactorization, UrvFactorization, power_urv, rsvd
 
 CSV_HEADER = "k,abs_sp,abs_fro,rel_sp,rel_fro,sigma_ref,smin_r11,smax_r22"
@@ -122,6 +124,11 @@ def reference_singular_values(a) -> np.ndarray:
     return np.concatenate([s, np.zeros(a.shape[1] + 1 - s.size)])
 
 
+def _factor_names(f) -> tuple[str, str, str]:
+    """The fields of the three arrays of a URV or RSVD factorization."""
+    return ("u", "sigma", "v") if isinstance(f, RsvdFactorization) else ("u", "r", "v")
+
+
 def _gram_norm(gram) -> float:
     """sqrt(lambda_max(gram)), or NaN below ``GRAM_FLOOR``, where an SVD must decide."""
     lam = eigvalsh(gram)[-1]
@@ -183,7 +190,7 @@ def _rsvd_errors(a, f: RsvdFactorization):
     """
     rows = f.sigma[:, None] * f.v.T
     ell = f.sigma.size
-    resid = validated_matrix(a - f.u @ rows)  # E; checks the factors once
+    resid = a - f.u @ rows  # E
     gram = resid.T @ resid
     gram_sp = np.empty(ell + 1)
     for k in range(ell, -1, -1):
@@ -211,6 +218,10 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
         trailing-block norms are used instead of being recomputed.  The
         result is the same either way.
 
+    A non-finite entry of ``a``, of a factor, of ``sigma_ref`` or of the
+    ``smax_r22`` that is used, or a cached array without n + 1 entries, is
+    a ``ValueError`` naming that array.
+
     Returns
     -------
     ErrorProfile
@@ -220,6 +231,14 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     """
     a = validated_matrix(a)
     n = a.shape[1]
+    for name in _factor_names(f):
+        finite_array(getattr(f, name), f"f.{name}")
+    cached = {} if sigma_ref is None else {"sigma_ref": sigma_ref}
+    if reveal is not None and not isinstance(f, RsvdFactorization):
+        cached["reveal.smax_r22"] = reveal.smax_r22
+    for name, x in cached.items():
+        if finite_array(x, name).shape != (n + 1,):
+            raise ValueError(f"{name} must have n + 1 = {n + 1} entries, got shape {np.shape(x)}")
     if sigma_ref is None:
         sigma_ref = reference_singular_values(a)
     scale = max_exponent(a)
@@ -227,8 +246,7 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     if isinstance(f, RsvdFactorization):
         sp, fro = _rsvd_errors(a, replace(f, sigma=np.ldexp(f.sigma, -scale)))
     else:
-        smax = (_trailing_spectral_norms(validated_matrix(f.r)) if reveal is None
-                else reveal.smax_r22)
+        smax = _trailing_spectral_norms(f.r) if reveal is None else reveal.smax_r22
         sp, fro = _urv_errors(a, replace(f, r=np.ldexp(f.r, -scale)), np.ldexp(smax, -scale))
     sp, fro = np.ldexp(sp, scale), np.ldexp(fro, scale)
     return ErrorProfile(
@@ -245,8 +263,11 @@ def reveal_profile(f) -> RevealProfile:
     """Block singular-value profile of the triangular factor of ``f``.
 
     For an RSVD factorization the factor is the n x n diagonal of its
-    singular values padded with zeros, n = ``f.v.shape[0]``.
+    singular values padded with zeros, n = ``f.v.shape[0]``.  A non-finite
+    entry of any array of ``f`` is a ``ValueError`` naming it.
     """
+    for name in _factor_names(f):
+        finite_array(getattr(f, name), f"f.{name}")
     if isinstance(f, RsvdFactorization):
         n, ell = f.v.shape
         smin = np.zeros(n + 1)
@@ -254,7 +275,7 @@ def reveal_profile(f) -> RevealProfile:
         smin[1 : ell + 1] = f.sigma
         smax[:ell] = f.sigma
         return RevealProfile(smin, smax)
-    r = validated_matrix(f.r)
+    r = f.r
     n = r.shape[0]
     smin = np.array([0.0] + [svdvals(r[:k, :k])[-1] for k in range(1, n + 1)])
     return RevealProfile(smin, _trailing_spectral_norms(r))
@@ -263,6 +284,7 @@ def reveal_profile(f) -> RevealProfile:
 def projection_error(a, u, k: int) -> float:
     """Spectral norm of ``a - u[:, :k] @ u[:, :k].T @ a``."""
     a = validated_matrix(a)
+    u = finite_array(u, "u")
     if not 0 <= k <= u.shape[1]:
         raise ValueError(f"k must be in [0, {u.shape[1]}], got {k}")
     uk = u[:, :k]

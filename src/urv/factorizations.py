@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     EPS,
+    finite_array,
     householder_qr,
     lu_basis,
     max_exponent,
@@ -284,8 +285,10 @@ def truncate(f: UrvFactorization, k: int):
     Returns ``(u_k, m_k)`` with ``u_k = u[:, :k]`` (m x k) and
     ``m_k = r[:k, :] @ v.T`` (k x n), so the approximant is their
     product.  ``k = 0`` yields empty factors (the zero approximant).
+    A non-finite entry of u, r or v is a ``ValueError`` naming the factor.
     """
-    n = f.r.shape[0]
+    u, r, v = (finite_array(getattr(f, name), f"f.{name}") for name in ("u", "r", "v"))
+    n = r.shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"truncation rank must be in [0, {n}], got {k}")
-    return f.u[:, :k], f.r[:k, :] @ f.v.T
+    return u[:, :k], r[:k, :] @ v.T

@@ -52,10 +52,10 @@ def load_matrix_binary(path) -> np.ndarray:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        dims = np.frombuffer(fh.read(16), dtype="<u8")
-        if dims.size != 2:
+        header = fh.read(16)
+        if len(header) != 16:
             raise ValueError(f"{path}: truncated header")
-        m, n = int(dims[0]), int(dims[1])
+        m, n = map(int, np.frombuffer(header, dtype="<u8"))
         expected = len(MAGIC) + 16 + 8 * m * n
         size = os.fstat(fh.fileno()).st_size
         if size != expected:

@@ -46,6 +46,10 @@ class MatrixSpec:
 
     A ``urv bench`` manifest stores it as ``dataclasses.asdict(spec)``, so
     ``from_spec(MatrixSpec(**manifest["spec"]))`` rebuilds the matrix.
+    A spec names only what ``from_spec`` builds: an unknown ``kind``, a
+    param that its ``KINDS`` entry does not list (``m`` and ``n`` are
+    fields, not params) and ``m != n`` for a square kind (bie, kahan) are
+    a ``ValueError``.
     """
 
     kind: str
@@ -57,6 +61,14 @@ class MatrixSpec:
     def __post_init__(self):
         # a manifest stores the seed as a [seed, stream] list
         object.__setattr__(self, "seed", as_seed(self.seed))
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown matrix kind {self.kind!r}")
+        settable = KINDS[self.kind][1]
+        unread = sorted(set(self.params) - (set(settable) - {"m", "n"}))
+        if unread:
+            raise ValueError(f"params {unread} do not apply to matrix kind {self.kind!r}")
+        if "m" not in settable and self.m != self.n:
+            raise ValueError(f"matrix kind {self.kind!r} is square, got m={self.m} n={self.n}")
 
 
 def _haar_columns(m, n, seed):
@@ -201,7 +213,5 @@ def from_spec(spec: MatrixSpec):
     Returns ``(a, sigma)``; sigma is None for the kinds whose spectrum
     is not prescribed (bie, kahan).
     """
-    if spec.kind not in KINDS:
-        raise ValueError(f"unknown matrix kind {spec.kind!r}")
     generate, settable = KINDS[spec.kind]
     return generate(spec, {**settable, **spec.params})

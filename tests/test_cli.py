@@ -232,6 +232,42 @@ def test_unread_matrix_flag_exit_1(tmp_path, capsys, command, flags):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
 
+@pytest.mark.parametrize("alg", [
+    ["qlp", "--q", "3"],
+    ["ddh", "--no-reorth"],
+    ["powerurv", "--ell", "7"],
+    ["cpqr", "--q", "1"],
+], ids=lambda alg: alg[0] + alg[1])
+def test_unread_algorithm_flag_exit_1(tmp_path, capsys, alg):
+    # a flag the chosen --alg would ignore is refused, not dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bench", "--matrix", "slow", "--m", "30", "--n", "20", "--alg", *alg,
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"urv: error: {alg[1]} does not apply to --alg {alg[0]}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_manifest_warnings(tmp_path, capsys):
+    # an exactly rank-3 input: each sample has 17 deficient columns, whatever
+    # the roundoff; the manifest, stderr and the provenance list the same
+    # warnings, and the flags left off are recorded at their defaults
+    a = np.zeros((30, 20))
+    a[:, :3] = urv.gaussian_matrix(30, 3, urv.RngSeed(5))
+    src = tmp_path / "rank3.bin"
+    urv.save_matrix_binary(src, a)
+    assert main(["bench", "--matrix", f"file:{src}", "--alg", "powerurv", "--seed", "7",
+                 "--out", str(tmp_path / "w.csv")]) == 0
+    manifest = json.loads((tmp_path / "w.json").read_text())
+    expected = list(urv.power_urv(a, q=1, seed=urv.RngSeed(7)).provenance.warnings)
+    assert expected == [f"{stage}: 17 numerically rank-deficient sample columns"
+                        for stage in ("power step 1 (after A)", "right-factor QR")]
+    assert manifest["warnings"] == expected
+    assert capsys.readouterr().err.splitlines() == expected
+    assert manifest["algorithm"] == {"name": "powerurv", "q": 1, "reorth": True, "ell": None}
+
+
 def test_manifest_next_to_csv(tmp_path):
     # a dot in a directory name must not cut the manifest path short
     out_dir = tmp_path / "res.v2"

@@ -94,6 +94,9 @@ class TestHouseholderQr:
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
             urv.householder_qr(np.ones((2, 3)))
+        for shape in [(3,), (3, 2, 2)]:
+            with pytest.raises(ValueError, match="a must be 2-dimensional"):
+                urv.householder_qr(np.ones(shape))
 
     def test_rejects_nonfinite(self):
         a = np.ones((3, 2))
@@ -444,3 +447,57 @@ def test_blas_pool_only_in_core_and_cli():
 ])
 def test_linalg_guard_flags(source, expected):
     assert [use for _, use in _linalg_uses(ast.parse(source))] == expected
+
+
+_INPUT_CHECKS = {"validated_matrix", "finite_array"}
+
+
+def _input_check_calls(tree):
+    """``(line, caller, check)`` of each call of an input check, by its enclosing def.
+
+    A method is named ``Class.method``; a call outside any def, ``<module>``.
+    """
+    calls = []
+
+    def visit(node, caller, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, caller, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name, None)
+            else:
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in _INPUT_CHECKS:
+                        calls.append((child.lineno, caller, name))
+                visit(child, caller, owner)
+
+    visit(tree, "<module>", None)
+    return calls
+
+
+def test_inputs_checked_only_at_public_calls():
+    # an input is checked once, where it enters: a function that urv does
+    # not export takes arrays its caller has checked or made, and checks
+    # nothing; the spec's own check and validated_matrix's use of
+    # finite_array are the exceptions
+    allowed = set(urv.__all__) | {"MatrixSpec.__post_init__", "validated_matrix"}
+    found = []
+    for path in sorted(Path(urv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {caller} calls {check}"
+                  for line, caller, check in _input_check_calls(tree) if caller not in allowed]
+    assert not found, "input check below a public call:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def f(a):\n    return validated_matrix(a)", [("f", "validated_matrix")]),
+    ("def f(a):\n    return core.finite_array(a, 'a')", [("f", "finite_array")]),
+    ("class C:\n    def g(self):\n        finite_array(self.x, 'x')", [("C.g", "finite_array")]),
+    ("def f(a):\n    def g():\n        validated_matrix(a)", [("g", "validated_matrix")]),
+    ("x = validated_matrix(a)", [("<module>", "validated_matrix")]),
+    ("def f(a):\n    return np.isfinite(a).all()", []),
+])
+def test_input_check_guard_flags(source, expected):
+    assert [call[1:] for call in _input_check_calls(ast.parse(source))] == expected

@@ -1,5 +1,9 @@
 """Diagnostics: error/reveal profiles, projection errors, lemma, flops."""
 
+import dataclasses
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -241,6 +245,70 @@ class TestProjectionError:
                     fn(a, f.u, k)
 
 
+def _with_nan(f, name):
+    """``f`` with the first entry of its array ``name`` replaced by NaN."""
+    x = getattr(f, name).copy()
+    x.flat[0] = np.nan
+    return dataclasses.replace(f, **{name: x})
+
+
+class TestInputChecks:
+    """A public function refuses a non-finite array by name, before any arithmetic."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        a, _ = urv.gen_slow_decay(30, 20, seed=0)
+        return a, {"powerurv": urv.power_urv(a, q=1, seed=0), "rsvd": urv.rsvd(a, 5, seed=0)}
+
+    @pytest.mark.parametrize("alg, name", [
+        ("powerurv", "u"), ("powerurv", "r"), ("powerurv", "v"),
+        ("rsvd", "u"), ("rsvd", "sigma"), ("rsvd", "v"),
+    ])
+    @pytest.mark.parametrize("call", ["error_profile", "error_profile_reveal", "reveal_profile"])
+    def test_nonfinite_factor(self, small, alg, name, call):
+        a, factors = small
+        f = factors[alg]
+        bad = _with_nan(f, name)
+        calls = {"error_profile": lambda: urv.error_profile(a, bad),
+                 "error_profile_reveal": lambda: urv.error_profile(a, bad,
+                                                                   reveal=urv.reveal_profile(f)),
+                 "reveal_profile": lambda: urv.reveal_profile(bad)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^f\\.{name} contains non-finite entries$"):
+                calls[call]()
+
+    @pytest.mark.parametrize("name", ["sigma_ref", "reveal.smax_r22"])
+    @pytest.mark.parametrize("bad", [np.full(21, np.nan), np.ones(20)], ids=["nan", "n-entries"])
+    def test_cached_array(self, small, name, bad):
+        a, factors = small
+        f = factors["powerurv"]
+        cached = {"sigma_ref": urv.reference_singular_values(a), "reveal": urv.reveal_profile(f)}
+        if name == "sigma_ref":
+            cached["sigma_ref"] = bad
+        else:
+            cached["reveal"] = dataclasses.replace(cached["reveal"], smax_r22=bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^" + re.escape(name)):
+                urv.error_profile(a, f, **cached)
+
+    @pytest.mark.parametrize("call, name", [
+        ("truncate", "r"), ("truncate", "u"), ("truncate", "v"), ("projection_error", "u"),
+    ])
+    def test_nan_argument(self, small, call, name):
+        a, factors = small
+        bad = _with_nan(factors["powerurv"], name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if call == "truncate":
+                with pytest.raises(ValueError, match=f"^f\\.{name} contains non-finite entries$"):
+                    urv.truncate(bad, 3)
+            else:
+                with pytest.raises(ValueError, match="^u contains non-finite entries$"):
+                    urv.projection_error(a, bad.u, 3)
+
+
 class TestLemmaCheck:
     @pytest.mark.parametrize("q", [0, 1])
     def test_slow_decay(self, matrix_slow, q):
@@ -298,6 +366,8 @@ class TestFlopEstimate:
             urv.flop_estimate("mystery", 10, 10)
         with pytest.raises(ValueError):
             urv.flop_estimate("qlp", 5, 10)
+        with pytest.raises(ValueError, match="q must be nonnegative"):
+            urv.flop_estimate("powerurv", 10, 10, q=-1)
 
 
 class TestCsvWriter:

@@ -48,6 +48,8 @@ class TestDdhUrv:
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
             urv.ddh_urv(np.ones((2, 3)), seed=0)
+        with pytest.raises(ValueError, match="qlp requires rows >= cols, got 2x3"):
+            urv.qlp(np.ones((2, 3)))
 
 
 class TestPowerUrv:
@@ -318,6 +320,8 @@ class TestRsvd:
             urv.rsvd(a, 160, seed=0)
         with pytest.raises(ValueError):
             urv.rsvd(a, 0, seed=0)
+        with pytest.raises(ValueError, match="q must be nonnegative"):
+            urv.rsvd(a, 10, q=-1, seed=0)
 
 
 class TestTruncate:

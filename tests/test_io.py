@@ -1,5 +1,7 @@
 """Matrix file format round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,9 +54,14 @@ def test_sniffing_loader(tmp_path, sample):
 
 
 def test_bad_files(tmp_path):
+    # a header cut anywhere short of its 16 bytes is refused with the path
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"URVK1" + b"\x01")
-    with pytest.raises(ValueError):
+    for header in (b"\x01", bytes(8), bytes(15)):
+        bad.write_bytes(b"URVK1" + header)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: truncated header")):
+            urv.load_matrix_binary(bad)
+    bad.write_bytes(b"URVK2" + bytes(16))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: bad magic")):
         urv.load_matrix_binary(bad)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("1,2\n3\n")

@@ -1,6 +1,7 @@
 """Benchmark matrix generators."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ class TestFastDecay:
         _, d_lit = urv.gen_fast_decay(20, 10, seed=0, literal=True)
         _, d_cal = urv.gen_fast_decay(20, 10, seed=0, literal=False)
         assert d_lit[0] == 1.0 and d_cal[0] == 1.0
+        a, d_one = urv.gen_fast_decay(20, 1, seed=0)
+        assert d_one.tolist() == [1.0] and a.shape == (20, 1)
 
     def test_literal_second_value(self):
         _, d = urv.gen_fast_decay(20, 10, seed=0, literal=True)
@@ -40,6 +43,8 @@ class TestSlowDecay:
     def test_values(self):
         _, d = urv.gen_slow_decay(seed=0)
         assert d[0] == 1.0
+        with pytest.raises(ValueError, match="rows >= cols, got 20x30"):
+            urv.gen_slow_decay(20, 30, seed=0)
         assert d[159] == pytest.approx(0.00625, rel=1e-15)
         assert d[0] / d[-1] == pytest.approx(160.0, rel=1e-14)
 
@@ -120,6 +125,21 @@ class TestSpecRoundTrip:
         assert a.shape == (8, 8) and d is None
         with pytest.raises(ValueError):
             urv.from_spec(urv.MatrixSpec("nope", 4, 4))
+
+    @pytest.mark.parametrize("spec, message", [
+        (("bie", 300, 200), "matrix kind 'bie' is square, got m=300 n=200"),
+        (("kahan", 50, 40), "matrix kind 'kahan' is square, got m=50 n=40"),
+        (("slow", 30, 20, 0, {"theta": 1.0}),
+         "params ['theta'] do not apply to matrix kind 'slow'"),
+        (("slow", 30, 20, 0, {"n": 5}), "params ['n'] do not apply to matrix kind 'slow'"),
+    ], ids=["bie-wide", "kahan-wide", "slow-theta", "slow-n-param"])
+    def test_spec_refuses_what_from_spec_would_not_build(self, spec, message):
+        # a spec builds the matrix it names, or is refused when it is made
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                urv.MatrixSpec(*spec)
+        assert str(info.value) == message
 
     def test_seed_coerced(self):
         # an int or a [seed, stream] pair, as a manifest stores it
