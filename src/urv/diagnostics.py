@@ -219,8 +219,9 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
         result is the same either way.
 
     A non-finite entry of ``a``, of a factor, of ``sigma_ref`` or of the
-    ``smax_r22`` that is used, or a cached array without n + 1 entries, is
-    a ``ValueError`` naming that array.
+    ``smax_r22`` that is used, a cached array without n + 1 entries, or an
+    ``a`` whose shape is not the one ``f`` factors, is a ``ValueError``
+    naming that array.
 
     Returns
     -------
@@ -231,6 +232,10 @@ def error_profile(a, f, sigma_ref=None, reveal=None) -> ErrorProfile:
     """
     a = validated_matrix(a)
     n = a.shape[1]
+    factored = (f.u.shape[0], f.v.shape[0])
+    if a.shape != factored:
+        raise ValueError(f"a has shape {a.shape}, but f factors a "
+                         f"{factored[0]}x{factored[1]} matrix")
     for name in _factor_names(f):
         finite_array(getattr(f, name), f"f.{name}")
     cached = {} if sigma_ref is None else {"sigma_ref": sigma_ref}

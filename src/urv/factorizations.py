@@ -47,10 +47,12 @@ class RankCollapseError(Exception):
 
 
 # power_urv with q >= 1 runs on the R factor of inputs with at least this
-# many rows per column.  Measured with LU power steps (n = 512-1024), the
-# extra QR and GEMM break even near m = 3n for q = 1 and m = 2-2.5n for q = 2,
-# so at m = 2n this path is 10-13% slower for q = 1 and about even for q = 2
-_TALL_RATIO = 2
+# many rows per column.  Measured with dgeqrt QRs (n = 512-1024, 2 cores,
+# interleaved pairs), forced-tall / direct time is 0.95-1.03 for q = 1 and
+# 0.81-0.89 for q = 2 at m = 3n, and 1.08-1.12 for q = 1 and 0.96-1.09 for
+# q = 2 at m = 2n.  So one switch at 3n, for every q: below it this path is
+# slower for q = 1 and about even for q = 2
+_TALL_RATIO = 3
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,11 @@ class MatrixSpec:
 
     A ``urv bench`` manifest stores it as ``dataclasses.asdict(spec)``, so
     ``from_spec(MatrixSpec(**manifest["spec"]))`` rebuilds the matrix.
-    A spec names only what ``from_spec`` builds: an unknown ``kind``, a
-    param that its ``KINDS`` entry does not list (``m`` and ``n`` are
-    fields, not params) and ``m != n`` for a square kind (bie, kahan) are
-    a ``ValueError``.
+    A spec names only what ``from_spec`` builds: an unknown ``kind``, an
+    ``m`` or ``n`` that is not an int (a bool included), a param that its
+    ``KINDS`` entry does not list (``m`` and ``n`` are fields, not params)
+    or whose type differs from its default there, and ``m != n`` for a
+    square kind (bie, kahan) are a ``ValueError``.
     """
 
     kind: str
@@ -63,10 +64,19 @@ class MatrixSpec:
         object.__setattr__(self, "seed", as_seed(self.seed))
         if self.kind not in KINDS:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
+        for name in ("m", "n"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         settable = KINDS[self.kind][1]
         unread = sorted(set(self.params) - (set(settable) - {"m", "n"}))
         if unread:
             raise ValueError(f"params {unread} do not apply to matrix kind {self.kind!r}")
+        for name, value in self.params.items():
+            default = settable[name]
+            if not isinstance(value, type(default)):
+                raise ValueError(f"param {name!r} must be a {type(default).__name__} like its "
+                                 f"default {default!r}, got {value!r}")
         if "m" not in settable and self.m != self.n:
             raise ValueError(f"matrix kind {self.kind!r} is square, got m={self.m} n={self.n}")
 
@@ -190,12 +200,12 @@ def gen_kahan(n: int = DEFAULT_KAHAN_N, theta: float = DEFAULT_KAHAN_THETA) -> n
 # set, with their defaults.  A kind without ``m`` is square and draws no Haar
 # streams.  Each call looks ``gen_*`` up when it runs, so patching reaches it.
 KINDS = {
-    "fast": (lambda s, p: gen_fast_decay(s.m, s.n, s.seed, bool(p["literal"])),
+    "fast": (lambda s, p: gen_fast_decay(s.m, s.n, s.seed, p["literal"]),
              {"m": DEFAULT_M, "n": DEFAULT_N, "literal": False}),
     "slow": (lambda s, p: gen_slow_decay(s.m, s.n, s.seed), {"m": DEFAULT_M, "n": DEFAULT_N}),
     "sshape": (lambda s, p: gen_s_shaped(s.m, s.n, s.seed), {"m": DEFAULT_M, "n": DEFAULT_N}),
     "bie": (lambda s, p: (gen_bie(s.n), None), {"n": DEFAULT_BIE_N}),
-    "kahan": (lambda s, p: (gen_kahan(s.n, float(p["theta"])), None),
+    "kahan": (lambda s, p: (gen_kahan(s.n, p["theta"]), None),
               {"n": DEFAULT_KAHAN_N, "theta": DEFAULT_KAHAN_THETA}),
 }
 

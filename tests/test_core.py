@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import EPS, _lapack, eigvalsh, lu_basis, max_exponent, pivoted_qr, product
+from urv.core import (EPS, _QR_BLOCK, _SIGNATURES, _lapack, eigvalsh, lu_basis, max_exponent,
+                      pivoted_qr, product)
 from urv.factorizations import _orth
 
 from conftest import jacobi_eigenvalues
@@ -23,10 +24,11 @@ def _signed_numpy_qr(a):
 
 class TestLapackBinding:
     def test_illegal_argument_is_linalg_error(self, capfd):
-        # lda = 1 < m = 3: LAPACK reports parameter 4 through info (and prints it)
-        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf failed with info = -4"):
-            _lapack("dgeqrf", 3, 2, np.zeros((3, 2), order="F"), 1, np.zeros(2))
-        assert "DGEQRF" in "".join(capfd.readouterr())
+        # lda = 1 < m = 3: LAPACK reports the LDA parameter through info (and prints it)
+        t = np.zeros((2, 2), order="F")
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrt failed with info = -5"):
+            _lapack("dgeqrt", 3, 2, 2, np.zeros((3, 2), order="F"), 1, t, 2, t.copy(order="F"))
+        assert "DGEQRT" in "".join(capfd.readouterr())
         with pytest.raises(np.linalg.LinAlgError, match="dgetrf failed with info = -4"):
             _lapack("dgetrf", 3, 2, np.zeros((3, 2), order="F"), 1, np.zeros(2, dtype=np.int64))
         assert "DGETRF" in "".join(capfd.readouterr())
@@ -36,16 +38,23 @@ class TestHouseholderQr:
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (5, 3), (200, 160), (700, 64)])
     @pytest.mark.parametrize("layout", ["C", "F", "slice"])
     def test_bitwise_numpy_oracle(self, shape, layout):
+        # bitwise the same factors in every layout, the input untouched; numpy's
+        # QR (dgeqrf, not dgeqrt) agrees after sign normalization to roundoff
         m, n = shape
-        a = np.random.default_rng(2).standard_normal((2 * m, 2 * n))
+        big = np.random.default_rng(2).standard_normal((2 * m, 2 * n))
         # every other row and column of a larger matrix is not contiguous
-        a = a[::2, ::2] if layout == "slice" else np.array(a[:m, :n], order=layout)
+        a = big[::2, ::2] if layout == "slice" else np.array(big[:m, :n], order=layout)
         before = a.copy()
         res = urv.householder_qr(a)
-        q, r = _signed_numpy_qr(a)
+        ref = urv.householder_qr(np.ascontiguousarray(a))
         assert np.array_equal(a, before)
-        assert np.array_equal(res.q, q) and np.array_equal(res.r, r)
+        assert np.array_equal(res.q, ref.q) and np.array_equal(res.r, ref.r)
         assert res.q.flags.f_contiguous and res.r.flags.f_contiguous
+        # two Householder QRs of a well-conditioned matrix agree to a few eps
+        # (worst seen: 1.1e-15 relative)
+        q, r = _signed_numpy_qr(a)
+        assert np.linalg.norm(res.q - q) <= 1e-14 * np.linalg.norm(q)
+        assert np.linalg.norm(res.r - r) <= 1e-14 * np.linalg.norm(r)
 
     def test_identity(self):
         res = urv.householder_qr(np.eye(3))
@@ -79,6 +88,26 @@ class TestHouseholderQr:
         a = urv.gaussian_matrix(m, n, urv.RngSeed(9))
         res = urv.householder_qr(a)
         bound = 10 * max(m, n) * EPS
+        assert np.linalg.norm(res.q.T @ res.q - np.eye(n)) <= bound
+        assert np.linalg.norm(res.q @ res.r - a) <= bound * np.linalg.norm(a)
+        assert np.array_equal(res.r, np.triu(res.r))
+        assert (np.diag(res.r) >= 0).all()
+
+    @pytest.mark.parametrize("shape", [
+        (5, 3), (33, 1),                           # n < nb
+        (2 * _QR_BLOCK, _QR_BLOCK),                # n = nb
+        (2 * _QR_BLOCK + 1, _QR_BLOCK + 1),        # one column past a block
+        (3 * _QR_BLOCK + 4, 3 * _QR_BLOCK + 1),
+        (3, 0), (0, 0),
+    ])
+    def test_block_edges(self, shape):
+        # dorgqr takes tau from the diagonals of dgeqrt's T blocks; a wrong
+        # tau makes a reflector that is not orthogonal
+        m, n = shape
+        a = np.random.default_rng(5).standard_normal(shape)
+        res = urv.householder_qr(a)
+        assert res.q.shape == (m, n) and res.r.shape == (n, n)
+        bound = 10 * max(m, n, 1) * EPS
         assert np.linalg.norm(res.q.T @ res.q - np.eye(n)) <= bound
         assert np.linalg.norm(res.q @ res.r - a) <= bound * np.linalg.norm(a)
         assert np.array_equal(res.r, np.triu(res.r))
@@ -412,13 +441,25 @@ def test_linalg_only_in_core():
     assert not found, "numpy.linalg outside urv.core:\n" + "\n".join(found)
 
 
+def _lapack_calls(routine):
+    """Lines of core.py that call ``_lapack(routine, ...)``."""
+    tree = ast.parse((Path(urv.__file__).parent / "core.py").read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lapack"
+            and node.args and getattr(node.args[0], "value", None) == routine]
+
+
 def test_one_dorgqr_call():
     # every QR ends in the one epilogue that forms Q from LAPACK's compact form
-    tree = ast.parse((Path(urv.__file__).parent / "core.py").read_text())
-    calls = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lapack"
-             and node.args and getattr(node.args[0], "value", None) == "dorgqr"]
+    calls = _lapack_calls("dorgqr")
     assert len(calls) == 1, f"_lapack('dorgqr', ...) at core.py lines {calls}"
+
+
+def test_one_dgeqrt_call():
+    # every unpivoted QR is householder_qr's one dgeqrt; dgeqrf is not bound
+    calls = _lapack_calls("dgeqrt")
+    assert len(calls) == 1, f"_lapack('dgeqrt', ...) at core.py lines {calls}"
+    assert not _lapack_calls("dgeqrf") and "dgeqrf" not in _SIGNATURES
 
 
 def test_blas_pool_only_in_core_and_cli():

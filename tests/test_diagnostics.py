@@ -293,6 +293,16 @@ class TestInputChecks:
             with pytest.raises(ValueError, match="^" + re.escape(name)):
                 urv.error_profile(a, f, **cached)
 
+    @pytest.mark.parametrize("alg", ["powerurv", "rsvd"])
+    @pytest.mark.parametrize("rows, cols", [(slice(None), slice(10)), (slice(10), slice(None))])
+    def test_shape_mismatch(self, small, alg, rows, cols):
+        a, factors = small
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^a has shape \(\d+, \d+\), but f factors "
+                                                 r"a 30x20 matrix$"):
+                urv.error_profile(a[rows, cols], factors[alg])
+
     @pytest.mark.parametrize("call, name", [
         ("truncate", "r"), ("truncate", "u"), ("truncate", "v"), ("projection_error", "u"),
     ])

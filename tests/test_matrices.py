@@ -132,7 +132,14 @@ class TestSpecRoundTrip:
         (("slow", 30, 20, 0, {"theta": 1.0}),
          "params ['theta'] do not apply to matrix kind 'slow'"),
         (("slow", 30, 20, 0, {"n": 5}), "params ['n'] do not apply to matrix kind 'slow'"),
-    ], ids=["bie-wide", "kahan-wide", "slow-theta", "slow-n-param"])
+        (("slow", 20.0, 10), "m must be an int, got 20.0"),
+        (("slow", 20, True), "n must be an int, got True"),
+        (("fast", 20, 10, 0, {"literal": "false"}),
+         "param 'literal' must be a bool like its default False, got 'false'"),
+        (("kahan", 8, 8, 0, {"theta": 1}),
+         "param 'theta' must be a float like its default 1.2, got 1"),
+    ], ids=["bie-wide", "kahan-wide", "slow-theta", "slow-n-param", "float-m", "bool-n",
+            "str-literal", "int-theta"])
     def test_spec_refuses_what_from_spec_would_not_build(self, spec, message):
         # a spec builds the matrix it names, or is refused when it is made
         with warnings.catch_warnings():
