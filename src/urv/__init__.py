@@ -11,6 +11,7 @@ from .core import (
     EPS,
     CpqrResult,
     QrResult,
+    RankCollapseError,
     SvdResult,
     cpqr,
     householder_qr,
@@ -34,7 +35,6 @@ from .diagnostics import (
 )
 from .factorizations import (
     Provenance,
-    RankCollapseError,
     RsvdFactorization,
     UrvFactorization,
     ddh_urv,
@@ -61,7 +61,7 @@ from .matrices import (
 )
 from .random import RngSeed, as_seed, gaussian_matrix, haar_orthogonal
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "CSV_HEADER",

@@ -4,10 +4,12 @@ LAPACK Householder QR (``geqrt``, whose panels are factored recursively
 at level 3), LAPACK column-pivoted QR (``geqp3``, the BLAS-3
 algorithm of Quintana-Orti, Sun & Bischof 1998) and a column-pivoted QR
 whose pivoting and norm downdating are hand-written, all three finished
-by one epilogue (``_q_and_r``: Q by ``dorgqr``, diag(R) >= 0), the P L D
-basis of a LAPACK partial-pivoted LU (``getrf`` and ``laswp``, the
-renormalization of the intermediate power steps), a dense SVD, singular
-values and spectral norms, and the eigenvalues of a symmetric matrix.
+by one epilogue (``_normalized_r``: diag(R) >= 0, then ``_form_q``: Q by
+``dorgqr``); the Q of a ``geqrt`` QR applied to a matrix without forming
+it (``gemqrt``, the tall path of ``power_urv``); the P L D basis of a
+LAPACK partial-pivoted LU (``getrf`` and ``laswp``, the renormalization
+of the intermediate power steps), a dense SVD, singular values and
+spectral norms, and the eigenvalues of a symmetric matrix.
 These are the building blocks for every factorization in the package.
 All routines are pure functions of float64 arrays and never mutate
 their inputs.
@@ -49,6 +51,7 @@ import numpy as np
 EPS = float(np.finfo(np.float64).eps)
 
 _INT = ctypes.POINTER(ctypes.c_int64)
+_CHAR = ctypes.c_char_p  # a CHARACTER*1 argument, passed as b"L", b"N", ...
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
 # argument types of each routine, and what follows them: a workspace
@@ -56,6 +59,8 @@ _I64 = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
 _SIGNATURES = {
     # M, N, NB, A, LDA, T, LDT, WORK
     "dgeqrt": ((_INT, _INT, _INT, _F64, _INT, _F64, _INT, _F64), "info"),
+    # SIDE, TRANS, M, N, K, NB, V, LDV, T, LDT, C, LDC, WORK
+    "dgemqrt": ((_CHAR, _CHAR, *(_INT,) * 4, _F64, _INT, _F64, _INT, _F64, _INT, _F64), "info"),
     "dorgqr": ((_INT, _INT, _INT, _F64, _INT, _F64), "work"),  # M, N, K, A, LDA, TAU
     "dgeqp3": ((_INT, _INT, _F64, _INT, _I64, _F64), "work"),  # M, N, A, LDA, JPVT, TAU
     "dgetrf": ((_INT, _INT, _F64, _INT, _I64), "info"),        # M, N, A, LDA, IPIV
@@ -73,9 +78,12 @@ except (AttributeError, OSError) as exc:
         f"for {', '.join(_SIGNATURES)}); numpy {np.__version__} does not export it: {exc}"
     ) from exc
 _TAILS = {"work": (_F64, _INT, _INT), "info": (_INT,), None: ()}
+# gfortran passes the length of each CHARACTER argument by value after all
+# the others; f2c builds ignore these trailing arguments
+_CHAR_LENGTHS = {name: (1,) * types.count(_CHAR) for name, (types, _) in _SIGNATURES.items()}
 for _name, _fn in _LAPACK.items():
     _types, _tail = _SIGNATURES[_name]
-    _fn.argtypes = [*_types, *_TAILS[_tail]]
+    _fn.argtypes = [*_types, *_TAILS[_tail], *(ctypes.c_size_t for _ in _CHAR_LENGTHS[_name])]
     _fn.restype = None
 _GET_THREADS.argtypes, _GET_THREADS.restype = [], ctypes.c_int
 _SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
@@ -85,9 +93,17 @@ _SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
 # where 16 was 10-16% slower
 _QR_BLOCK = 32
 
+# _householder rescales a vector whose trailing squares sum below this, far
+# above the subnormal range (2**-1022), where squares lose digits
+_TINY_SQUARES = 2.0**-1000
+
 # Recompute a downdated column norm from scratch once it has shrunk below
 # this fraction of its reference value (guards catastrophic cancellation).
 _NORM_RECOMPUTE_FRACTION = 1e-2
+
+
+class RankCollapseError(Exception):
+    """A sample of a zero input, or an overflow: sigma_1 beyond the double range."""
 
 
 class QrResult(NamedTuple):
@@ -136,6 +152,17 @@ def finite_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def finite_result(x, stage: str):
+    """``x`` itself; a non-finite entry is an overflow during ``stage``.
+
+    For results computed from finite inputs: the ``RankCollapseError`` of
+    sigma_1 beyond the double range, not the ``ValueError`` of a bad input.
+    """
+    if not np.isfinite(x).all():
+        raise RankCollapseError(f"{stage} overflowed")
+    return x
+
+
 def max_exponent(a) -> int:
     """Binary exponent e with max|a| in [2**(e-1), 2**e) (0 for a zero matrix).
 
@@ -167,9 +194,10 @@ def blas_threads(n: int | None = None):
 def _lapack(name: str, *args) -> int:
     """Call the LAPACK routine ``name`` with ``args``, then the tail of ``_SIGNATURES``.
 
-    Ints pass by reference as int64 (ILP64); arrays must be writeable and
-    Fortran-contiguous, with the dtype of ``_SIGNATURES``.  A workspace
-    query picks the optimal LWORK, so blocked code runs.  A negative INFO
+    Ints pass by reference as int64 (ILP64), CHARACTER arguments as
+    one-byte ``bytes``; arrays must be writeable and Fortran-contiguous,
+    with the dtype of ``_SIGNATURES``.  A workspace query picks the
+    optimal LWORK, so blocked code runs.  A negative INFO
     (an illegal argument) raises ``numpy.linalg.LinAlgError``; INFO is
     returned otherwise (0 for a routine without one), since a positive one
     is a result (``dgetrf``: an exact zero pivot), not a failure.
@@ -179,7 +207,8 @@ def _lapack(name: str, *args) -> int:
     info = ctypes.c_int64(0)
 
     def call(*work):
-        _LAPACK[name](*refs, *work, *((ctypes.byref(info),) if tail else ()))
+        _LAPACK[name](*refs, *work, *((ctypes.byref(info),) if tail else ()),
+                      *_CHAR_LENGTHS[name])
         if info.value < 0:
             raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info.value}")
         return info.value
@@ -196,11 +225,18 @@ def _householder(x):
     """Reflector (v, tau) with v[0] = 1 and (I - tau*v*v^T) x = +||x|| e_1.
 
     The sign is fixed so the produced diagonal entry is always
-    nonnegative; both branches avoid cancellation.
+    nonnegative; both branches avoid cancellation.  An ``x`` whose
+    trailing squares sum below ``_TINY_SQUARES`` is first scaled by an
+    exact power of two, as LAPACK's ``dlarfg`` does, so that they do not
+    lose digits in the subnormal range; v and tau do not depend on the
+    scale.
     """
+    sigma = x[1:] @ x[1:]
+    if sigma < _TINY_SQUARES and x[1:].any():
+        x = np.ldexp(x, -max_exponent(x))
+        sigma = x[1:] @ x[1:]
     v = x.copy()
     v[0] = 1.0
-    sigma = x[1:] @ x[1:]
     if sigma == 0.0:
         # Already collinear with e_1; reflect only to fix a negative sign.
         return v, (0.0 if x[0] >= 0.0 else 2.0)
@@ -226,12 +262,12 @@ def product(x, y) -> np.ndarray:
 def householder_qr(a) -> QrResult:
     """Householder QR of a tall matrix, normalized to ``diag(r) >= 0``.
 
-    LAPACK ``dgeqrt`` on one Fortran-order copy of ``a`` (a plain copy
-    when ``a`` is in Fortran order), then ``_q_and_r``.  ``dgeqrt`` factors
-    each panel of ``_QR_BLOCK`` columns recursively, in level-3 BLAS
-    (Elmroth & Gustavson 2000), where ``dgeqrf``'s panels are level 2;
-    ``dorgqr`` takes tau from the diagonals of its triangular T blocks.
-    The normalization makes the result unique (``dgeqrt``'s diagonal signs
+    LAPACK ``dgeqrt`` on one Fortran-order copy of ``a`` (``_compact_qr``),
+    then ``dorgqr`` forms Q (``_form_q``).  ``dgeqrt`` factors each panel
+    of ``_QR_BLOCK`` columns recursively, in level-3 BLAS (Elmroth &
+    Gustavson 2000), where ``dgeqrf``'s panels are level 2; ``dorgqr``
+    takes tau from the diagonals of its triangular T blocks.  The
+    normalization makes the result unique (``dgeqrt``'s diagonal signs
     are arbitrary) and lets the Q of a Gaussian matrix be exactly Haar
     distributed.
 
@@ -249,40 +285,102 @@ def householder_qr(a) -> QrResult:
         them, and bitwise the same for ``a`` in any layout.  They agree
         with the sign-normalized ``numpy.linalg.qr`` factors (``dgeqrf``)
         to roundoff, not bitwise.
+
+    Raises
+    ------
+    RankCollapseError
+        If R overflows: a finite ``a`` whose sigma_1 is beyond the double range.
     """
     a = validated_matrix(a)
     m, n = a.shape
     if m < n:
         raise ValueError(f"householder_qr requires rows >= cols, got {m}x{n}")
+    (f, tw, d), r = _compact_qr(a)
+    # block j // nb of T is upper triangular with tau on its diagonal; tau
+    # goes into the workspace half of tw, which dgeqrt no longer needs, so
+    # that no small array is made after the input-sized f
+    nb = tw.shape[0]
+    j = np.arange(n)
+    tau = tw[:, n:].ravel(order="F")[:n]
+    tau[:] = tw[j % nb, j]
+    return QrResult(_form_q(f, tau, d), finite_result(r, "R of householder_qr"))
+
+
+class _CompactQ(NamedTuple):
+    """The Q of LAPACK's compact-WY QR of an m x n matrix: see ``_compact_qr``."""
+
+    f: np.ndarray   # (m, n), reflector j below the diagonal of column j
+    tw: np.ndarray  # (nb, 2n), the T blocks, then a free workspace of n * nb
+    d: np.ndarray   # (n,), +-1: Q = (H_1 ... H_n)[:, :n] diag(d)
+
+
+def _compact_qr(a) -> tuple[_CompactQ, np.ndarray]:
+    """``(q, r)`` of the finite m x n ``a`` (m >= n), unchecked, with Q left compact.
+
+    ``dgeqrt`` on one Fortran-order copy of ``a``; r is normalized to
+    ``diag(r) >= 0`` and bitwise ``householder_qr``'s.  Q stays as its
+    reflectors and T blocks, for ``householder_qr``'s ``_form_q`` or for
+    ``_apply_q``, which applies it without forming it.
+    """
+    m, n = a.shape
     nb = max(1, min(_QR_BLOCK, n))
-    # T and dgeqrt's workspace side by side, and tau, allocated before the
+    # T and dgeqrt's workspace side by side, allocated before the
     # input-sized copy: a small array made after it and kept through the
     # epilogue raised factor_large's peak RSS by 8 MB (glibc heap placement)
     tw = np.empty((nb, 2 * n), order="F")
-    tau = np.empty(n)
     f = np.array(a, order="F")
     _lapack("dgeqrt", m, n, nb, f, max(1, m), tw[:, :n], nb, tw[:, n:])
-    # block j // nb of T is upper triangular with tau on its diagonal
-    j = np.arange(n)
-    tau[:] = tw[j % nb, j]
-    return QrResult(*_q_and_r(f, tau))
+    r, d = _normalized_r(f, n)
+    return _CompactQ(f, tw, d), r
 
 
-def _q_and_r(f, tau):
-    """Fortran-order ``(q, r)``, ``diag(r) >= 0``, of LAPACK's compact QR in ``f``.
+def _apply_q(q: _CompactQ, u) -> np.ndarray:
+    """``Q u`` in Fortran order, for the m x n compact ``Q`` and an n x n ``u``.
 
-    k = ``tau.size``; Q is formed in ``f``.  The +-1 multiply is exact and leaves -0.0 alone.
+    One LAPACK ``dgemqrt`` applies the reflectors, blocked by their T, to
+    ``[diag(d) u; 0]``: level 3 throughout, about 4mn^2 flops against
+    6mn^2 for forming Q and multiplying, with nothing Q's size made.  Its
+    workspace is the free half of ``q.tw``.
+    """
+    f, tw, d = q
+    m, n = f.shape
+    nb = tw.shape[0]
+    c = np.zeros((m, n), order="F")
+    np.multiply(u, d[:, None], out=c[:n])
+    _lapack("dgemqrt", b"L", b"N", m, n, n, nb, f, max(1, m), tw[:, :n], nb, c, max(1, m),
+            tw[:, n:])
+    return c
+
+
+def _normalized_r(f, k):
+    """``(r, d)``: the first k rows of LAPACK's compact QR in ``f``, as R with diag(r) >= 0.
+
+    ``r = diag(d) R`` for the +-1 signs ``d``; the multiply is exact and leaves -0.0 alone.
+    """
+    r = f[:k].copy(order="F")
+    np.copyto(r, 0.0, where=np.tri(k, f.shape[1], -1, dtype=bool))
+    d = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    r *= d[:, None]
+    return r, d
+
+
+def _form_q(f, tau, d):
+    """The m x k Q, times diag(d), of LAPACK's compact QR in ``f``, formed in ``f`` by ``dorgqr``.
+
+    k = ``tau.size``; Q is ``f`` itself when k is its column count.
     """
     m, n = f.shape
     k = tau.size
-    r = f[:k].copy(order="F")
-    np.copyto(r, 0.0, where=np.tri(k, n, -1, dtype=bool))
     _lapack("dorgqr", m, k, k, f, max(1, m), tau)
     q = f if k == n else f[:, :k].copy(order="F")
-    d = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     q *= d
-    r *= d[:, None]
-    return q, r
+    return q
+
+
+def _q_and_r(f, tau):
+    """Fortran-order ``(q, r)``, ``diag(r) >= 0``, of LAPACK's compact QR in ``f``."""
+    r, d = _normalized_r(f, tau.size)
+    return _form_q(f, tau, d), r
 
 
 def lu_basis(y) -> LuBasis:
@@ -383,6 +481,11 @@ def cpqr(a) -> CpqrResult:
         ``q`` (m, k) and ``r`` (k, n) upper-trapezoidal with nonincreasing
         diagonal magnitudes, both Fortran-contiguous, and ``perm`` such that
         ``a[:, perm] == q @ r`` up to roundoff, k = min(m, n).
+
+    Raises
+    ------
+    RankCollapseError
+        If R overflows: a finite ``a`` whose sigma_1 is beyond the double range.
     """
     a = validated_matrix(a)
     m, n = a.shape
@@ -419,7 +522,7 @@ def cpqr(a) -> CpqrResult:
             norms2[j + 1 :] = upd
 
     q, r = _q_and_r(np.asfortranarray(r), taus)
-    return CpqrResult(q, np.ldexp(r, scale, out=r), perm)
+    return CpqrResult(q, finite_result(np.ldexp(r, scale, out=r), "R of cpqr"), perm)
 
 
 def svd(a) -> SvdResult:

@@ -29,7 +29,11 @@ import numpy as np
 
 from .core import (
     EPS,
+    RankCollapseError,
+    _apply_q,
+    _compact_qr,
     finite_array,
+    finite_result,
     householder_qr,
     lu_basis,
     max_exponent,
@@ -42,17 +46,13 @@ from .core import cpqr  # noqa: F401  unused here; perfbench traces factorizatio
 from .random import as_seed, gaussian_matrix
 
 
-class RankCollapseError(Exception):
-    """A sample of a zero input, or an overflow: sigma_1 beyond the double range."""
-
-
 # power_urv with q >= 1 runs on the R factor of inputs with at least this
-# many rows per column.  Measured with dgeqrt QRs (n = 512-1024, 2 cores,
-# interleaved pairs), forced-tall / direct time is 0.95-1.03 for q = 1 and
-# 0.81-0.89 for q = 2 at m = 3n, and 1.08-1.12 for q = 1 and 0.96-1.09 for
-# q = 2 at m = 2n.  So one switch at 3n, for every q: below it this path is
-# slower for q = 1 and about even for q = 2
-_TALL_RATIO = 3
+# many rows per column.  Measured with Q0 applied by dgemqrt (n = 512-1024,
+# 2 cores, medians of 7-9 interleaved pairs), forced-tall / direct time is
+# 0.95-1.04 for q = 1 and 0.89-0.92 for q = 2 at m = 2n, and 0.87-0.96 and
+# 0.80-0.86 at m = 2.5n.  So one switch at 2n, for every q: there this path
+# is even for q = 1 and faster for q = 2
+_TALL_RATIO = 2
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,6 @@ class RsvdFactorization:
     provenance: Provenance
 
 
-def _finite(x, stage: str):
-    """``x`` itself; a non-finite entry is an overflow during ``stage``."""
-    if not np.isfinite(x).all():
-        raise RankCollapseError(f"{stage} overflowed")
-    return x
-
-
 def _rescaled(y):
     """``y`` scaled in place by ``2**-max_exponent(y)``: exact, so its QR's Q is unchanged."""
     return np.ldexp(y, -max_exponent(y), out=y)
@@ -110,7 +103,7 @@ def _orth(y, warnings: list[str], stage: str, lu: bool = False):
     """
     y = _rescaled(y)
     # max|y| is now in [1/2, 1), so the norm is finite exactly when y is
-    norm = _finite(np.linalg.norm(y), f"sample matrix during {stage}")
+    norm = finite_result(np.linalg.norm(y), f"sample matrix during {stage}")
     if norm == 0.0:
         raise RankCollapseError(f"sample matrix collapsed to zero during {stage}")
     if lu:
@@ -172,7 +165,9 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     A tall input (``q >= 1`` and ``m >= _TALL_RATIO * n``) is first
     reduced to its n x n triangular factor, ``A = Q0 R0``, as LAPACK's
     SVD routines do (Chan's R-SVD).  The power iteration and
-    ``R0 V = U' R`` then run on R0, and ``U = Q0 U'``.  Since
+    ``R0 V = U' R`` then run on R0, and ``U = Q0 U'``, where Q0 is never
+    formed: one LAPACK ``dgemqrt`` applies its compact-WY reflectors to
+    ``U'`` padded with zero rows (Schreiber & Van Loan 1989).  Since
     ``R0^T R0 = A^T A`` the factors are the same as on the direct path
     up to roundoff, but the 2q + 1 products with A and the QRs of m x n
     samples shrink to n x n ones.  With ``q = 0`` the one product with
@@ -205,13 +200,15 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     seed = as_seed(seed)
     warnings: list[str] = []
     tall = q >= 1 and m >= _TALL_RATIO * n
-    # _orth reports a non-finite R0 as an overflow of the sample
-    q0, b = householder_qr(a) if tall else (None, a)
+    # Q0 stays in LAPACK's compact form until it lifts U; _orth reports a
+    # non-finite R0 as an overflow of the sample
+    q0, b = _compact_qr(a) if tall else (None, a)
     v = _sample_basis(b, gaussian_matrix(n, n, seed), 2 * q, reorth, warnings, "right-factor QR")
-    u, r = householder_qr(_finite(product(b, v), "product A V"))
-    _finite(r, "QR of A V")
+    # householder_qr reports a non-finite R as an overflow
+    u, r = householder_qr(finite_result(product(b, v), "product A V"))
+    del b  # R0 is not read again: drop it before the lift, the call's peak
     if tall:
-        u = product(q0, u)
+        u = _apply_q(q0, u)
     prov = Provenance("powerurv", q=q, warnings=tuple(warnings))
     return UrvFactorization(u, r, v, prov)
 
@@ -243,10 +240,10 @@ def qlp(a) -> UrvFactorization:
         raise ValueError(f"qlp requires rows >= cols, got {m}x{n}")
     q1, r1, perm1 = pivoted_qr(a.T)
     b = np.empty((m, n), order="F")
-    b[perm1, :] = _finite(r1, "first pivoted QR").T
+    b[perm1, :] = finite_result(r1, "first pivoted QR").T
     del r1  # b holds its values: drop it before the second QR, the call's peak
     second = pivoted_qr(b)
-    _finite(second.r, "second pivoted QR")
+    finite_result(second.r, "second pivoted QR")
     v = q1[:, second.perm]
     return UrvFactorization(second.q, second.r, v, Provenance("qlp"))
 
@@ -274,7 +271,7 @@ def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorizat
     warnings: list[str] = []
     qq = _sample_basis(a, gaussian_matrix(n, ell, seed), 2 * q + 1, reorth, warnings,
                        "range-finder QR")
-    tall = _finite(product(a.T, qq), "product Q^T A")
+    tall = finite_result(product(a.T, qq), "product Q^T A")
     w_t = svd(tall)  # tall = v_r diag(sigma) w^T
     u = qq @ w_t.v
     prov = Provenance("rsvd", q=q, warnings=tuple(warnings))

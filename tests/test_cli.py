@@ -458,14 +458,17 @@ def test_sample_overflow_exit_2(tmp_path, capsys):
         assert ("numerical failure" in capsys.readouterr().err) == bool(expected)
 
 
-@pytest.mark.parametrize("alg", [["ddh"], ["qlp"], ["rsvd", "--ell", "1", "--q", "0"]],
+@pytest.mark.parametrize("alg", [["ddh"], ["qlp"], ["cpqr"], ["rsvd", "--ell", "1", "--q", "0"]],
                          ids=lambda alg: alg[0])
 def test_factor_overflow_exit_2(tmp_path, capsys, alg):
     # max|a| = 1.5e308: A V (ddh) or the pivoted R factor (qlp) overflows;
-    # for rsvd a first column of 1.2e308 keeps the sample finite, not Q^T A
+    # for rsvd a first column of 1.2e308 keeps the sample finite, not Q^T A;
+    # for cpqr R's column norms of a +-1.797e308 matrix do
     if alg[0] == "rsvd":
         a = np.zeros((200, 160))
         a[:, 0] = 1.2e308
+    elif alg[0] == "cpqr":
+        a = np.where(urv.gaussian_matrix(20, 10, urv.RngSeed(0)) < 0.0, -1.797e308, 1.797e308)
     else:
         a, _ = urv.gen_slow_decay(60, 40, seed=0)
         a = (a / np.abs(a).max()) * 1.5e308

@@ -146,6 +146,19 @@ class TestHouseholderQr:
         assert np.allclose(res.r / c, ref.r, rtol=0, atol=bound * np.linalg.norm(a))
 
 
+@pytest.mark.parametrize("qr", [urv.householder_qr, urv.cpqr], ids=["householder_qr", "cpqr"])
+def test_overflowing_r_is_rank_collapse(qr):
+    # a finite matrix of +-1.797e308, whose column norms exceed the double
+    # range: the public QRs check R once, and raise the class that qlp and
+    # power_urv raise for sigma_1 beyond the double range
+    a = np.where(urv.gaussian_matrix(20, 10, urv.RngSeed(0)) < 0.0, -1.797e308, 1.797e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(urv.RankCollapseError, match="R of .* overflowed"):
+            qr(a)
+    assert urv.RankCollapseError is urv.core.RankCollapseError
+    assert urv.RankCollapseError is urv.factorizations.RankCollapseError
+
+
 class _PivotedQrContract:
     """Contract shared by both column-pivoted kernels, run as ``kernel``."""
 
@@ -210,6 +223,16 @@ class TestCpqr(_PivotedQrContract):
         smin = urv.singular_values(a)[-1]
         ratio = abs(res.r[-1, -1]) / smin
         assert ratio == pytest.approx(4.8391436786357582, rel=1e-10)
+
+    @pytest.mark.parametrize("lo", [-540, -1000])
+    def test_mixed_scale_columns(self, lo):
+        # columns scaled from 2**lo up to 1: the trailing squares of the
+        # small ones fall near the subnormal range, so their reflectors are
+        # formed from an exactly rescaled copy, as LAPACK's dlarfg does
+        a = np.random.default_rng(0).standard_normal((200, 160)) * np.exp2(np.linspace(lo, 0, 160))
+        res = urv.cpqr(a)
+        assert np.abs(res.q.T @ res.q - np.eye(160)).max() <= 1e-14
+        assert np.abs(res.q @ res.r - a[:, res.perm]).max() <= 1e-14 * np.abs(a).max()
 
 
 class TestPivotedQr(_PivotedQrContract):
@@ -456,10 +479,16 @@ def test_one_dorgqr_call():
 
 
 def test_one_dgeqrt_call():
-    # every unpivoted QR is householder_qr's one dgeqrt; dgeqrf is not bound
+    # every unpivoted QR is _compact_qr's one dgeqrt; dgeqrf is not bound
     calls = _lapack_calls("dgeqrt")
     assert len(calls) == 1, f"_lapack('dgeqrt', ...) at core.py lines {calls}"
     assert not _lapack_calls("dgeqrf") and "dgeqrf" not in _SIGNATURES
+
+
+def test_one_dgemqrt_call():
+    # the tall path's Q0 is applied by one dgemqrt, never formed
+    calls = _lapack_calls("dgemqrt")
+    assert len(calls) == 1, f"_lapack('dgemqrt', ...) at core.py lines {calls}"
 
 
 def test_blas_pool_only_in_core_and_cli():

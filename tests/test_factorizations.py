@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import EPS
+from urv.core import _QR_BLOCK, EPS
 from urv.factorizations import _TALL_RATIO, _sample_basis
 
 from conftest import reconstruction_error
@@ -136,7 +136,7 @@ def test_qr_count(monkeypatch, q, reorth):
             return getattr(urv.core, kernel)(y)
         return call
 
-    for kernel in ("householder_qr", "lu_basis"):
+    for kernel in ("householder_qr", "_compact_qr", "lu_basis"):
         monkeypatch.setattr(urv.factorizations, kernel, counted(kernel))
     # one LU per product with A or A^T but the last, whose QR gives the basis
     power_lus = max(2 * q - 1, 0) if reorth else 0
@@ -144,34 +144,39 @@ def test_qr_count(monkeypatch, q, reorth):
         a, _ = urv.gen_slow_decay(m, 20, seed=1)
         calls.clear()
         urv.power_urv(a, q=q, reorth=reorth, seed=3)
-        # + R0, + the QR of A V
-        assert calls.count("householder_qr") == tall + 1 + 1
+        # the tall path's R0, whose Q0 is never formed, + the QR of the
+        # sample + the QR of A V
+        assert calls.count("_compact_qr") == tall
+        assert calls.count("_compact_qr") + calls.count("householder_qr") == tall + 1 + 1
         assert calls.count("lu_basis") == power_lus
         calls.clear()
         urv.rsvd(a, 5, q=q, reorth=reorth, seed=3)
         assert calls == ["lu_basis"] * (2 * q if reorth else 0) + ["householder_qr"]
 
 
-@pytest.mark.parametrize("factor", [
-    lambda a: urv.ddh_urv(a, seed=2),
-    lambda a: urv.power_urv(a, q=1, seed=2),
-    lambda a: urv.power_urv(a, q=2, seed=2),
-    urv.qlp,
-], ids=["0", "1", "2", "qlp"])
-def test_peak_memory(factor):
+@pytest.mark.parametrize("factor,m,bound", [
+    (lambda a: urv.ddh_urv(a, seed=2), 256, 6),
+    (lambda a: urv.power_urv(a, q=1, seed=2), 256, 6),
+    (lambda a: urv.power_urv(a, q=2, seed=2), 256, 6),
+    (urv.qlp, 256, 6),
+    (lambda a: urv.power_urv(a, q=1, seed=2), 768, 3.34),
+], ids=["0", "1", "2", "qlp", "1-tall"])
+def test_peak_memory(factor, m, bound):
     # the samples stay in the Fortran order of the kernels, so no QR or LU
     # holds a transposed copy next to its input, the Gaussian draw is
     # dropped once the first product replaces it, and qlp drops its first
     # R before the second pivoted QR: at most 6 matrices of the input's
-    # size are live at once, the three returned factors included
-    a, _ = urv.gen_slow_decay(256, 256, seed=1)
+    # size are live at once, the three returned factors included.  On the
+    # tall path (768 x 256) Q0 is never formed and R0 is dropped before
+    # the lift: 3.18 input sizes, below the 3.34 of forming Q0
+    a, _ = urv.gen_slow_decay(m, 256, seed=1)
     tracemalloc.start()
     try:
         factor(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * a.nbytes
+    assert peak <= bound * a.nbytes
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (5, 0)])
@@ -220,6 +225,25 @@ class TestPowerUrvTallPath:
         assert np.abs(f.v - v).max() <= tol
         assert np.abs(f.r - r).max() <= tol * np.linalg.norm(r)
         _urv_invariants(f, a)
+
+    @pytest.mark.parametrize("shape", [
+        (3 * _QR_BLOCK + 1, _QR_BLOCK - 1),  # n < nb
+        (3 * _QR_BLOCK, _QR_BLOCK),          # n = nb
+        (3 * _QR_BLOCK + 3, _QR_BLOCK + 1),  # n = nb + 1
+        (_TALL_RATIO * 40, 40),              # m at the switch
+    ])
+    @pytest.mark.parametrize("q,reorth", [(1, True), (2, True), (1, False), (2, False)])
+    def test_is_direct_path_on_r0(self, shape, q, reorth):
+        # the tall path runs the direct one on householder_qr's R0, bit for
+        # bit, and lifts its U' by Q0 applied in compact form, not formed
+        a, _ = urv.gen_slow_decay(*shape, seed=1)
+        q0, r0 = urv.householder_qr(a)
+        u, r, v, warnings = _direct_power_urv(r0, q, reorth, 3)
+        f = urv.power_urv(a, q=q, reorth=reorth, seed=3)
+        assert np.array_equal(f.r, r) and np.array_equal(f.v, v)
+        assert f.provenance.warnings == warnings
+        assert f.u.flags.f_contiguous
+        assert np.linalg.norm(f.u - q0 @ u) <= 1e-14 * np.linalg.norm(u)
 
     @pytest.mark.parametrize("q,reorth", [(1, True), (2, True), (2, False)])
     def test_rank_deficiency_warnings_unchanged(self, q, reorth):
