@@ -210,7 +210,7 @@ class TestPowerUrvTallPath:
         assert np.array_equal(f.u, u) and np.array_equal(f.r, r) and np.array_equal(f.v, v)
         assert f.provenance.warnings == warnings
 
-    @pytest.mark.parametrize("rows_per_col", [_TALL_RATIO, 8])
+    @pytest.mark.parametrize("rows_per_col", [_TALL_RATIO, 3, 8])
     @pytest.mark.parametrize("q,reorth", [(1, True), (2, True), (1, False), (2, False)])
     def test_matches_direct_to_roundoff(self, rows_per_col, q, reorth):
         n = self.N
@@ -255,7 +255,7 @@ class TestPowerUrvTallPath:
         assert f.provenance.warnings
         assert f.provenance.warnings == _direct_power_urv(a, q, reorth, 4)[3]
 
-    @pytest.mark.parametrize("ratio", [_TALL_RATIO, 8])
+    @pytest.mark.parametrize("ratio", [_TALL_RATIO, 3, 8])
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("reorth", [True, False])
     def test_rank_deficiency_count_stable(self, ratio, q, reorth):
