@@ -13,7 +13,9 @@ Three subcommands drive the library end to end:
 
 Two tables drive the commands.  ``_ALGORITHMS`` maps each algorithm to the
 call made on the parsed flags and to the flags it reads, which decide what
-the manifest records; ``bench`` and ``timing`` run through it.
+the manifest records; ``bench`` and ``timing`` run through it.  Its bare
+kernels (``_KERNELS``: ``qr``, ``svd`` and ``geqp3``, the pivoted QR that
+``qlp`` makes twice) are ``timing`` entries only.
 ``urv.matrices.KINDS`` gives the fields and defaults the matrix flags read.
 ``bench`` refuses, with exit code 1, a matrix or algorithm flag that the
 chosen ``--matrix`` or ``--alg`` does not read.
@@ -53,7 +55,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import blas_threads, cpqr, householder_qr
+from .core import blas_threads, cpqr, householder_qr, pivoted_qr, svd
 from .diagnostics import (
     error_profile,
     lemma_check,
@@ -117,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="factor a matrix and write profile CSV + manifest")
     add_matrix_flags(b)
-    # every entry but the qr kernel returns a factorization to profile
-    b.add_argument("--alg", required=True, choices=[a for a in _ALGORITHMS if a != "qr"])
+    # every entry but the bare kernels returns a factorization to profile
+    b.add_argument("--alg", required=True, choices=[a for a in _ALGORITHMS if a not in _KERNELS])
     b.add_argument("--q", type=int, default=None, help="power iteration steps (default 1)")
     b.add_argument("--no-reorth", action="store_true", default=None,
                    help="skip renormalization between power steps")
@@ -209,7 +211,11 @@ _ALGORITHMS = {
                                   seed=RngSeed(args.seed)),
              ("seed", "q", "reorth", "ell")),
     "cpqr": (lambda a, args: _cpqr_as_urv(a), ()),
+    # the kernels that qlp and the paper's baseline run on, for timing
+    "svd": (lambda a, args: svd(a), ()),
+    "geqp3": (lambda a, args: pivoted_qr(a), ()),
 }
+_KERNELS = ("qr", "svd", "geqp3")
 _TIMING_ALGS = tuple(name for name, (_, reads) in _ALGORITHMS.items() if "ell" not in reads)
 
 

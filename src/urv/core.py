@@ -3,13 +3,16 @@
 LAPACK Householder QR (``geqrt``, whose panels are factored recursively
 at level 3), LAPACK column-pivoted QR (``geqp3``, the BLAS-3
 algorithm of Quintana-Orti, Sun & Bischof 1998) and a column-pivoted QR
-whose pivoting and norm downdating are hand-written, all three finished
-by one epilogue (``_normalized_r``: diag(R) >= 0, then ``_form_q``: Q by
-``dorgqr``); the Q of a ``geqrt`` QR applied to a matrix without forming
-it (``gemqrt``, the tall path of ``power_urv``); the P L D basis of a
-LAPACK partial-pivoted LU (``getrf`` and ``laswp``, the renormalization
-of the intermediate power steps), a dense SVD, singular values and
-spectral norms, and the eigenvalues of a symmetric matrix.
+whose pivoting and norm downdating are hand-written.  Each cuts R with
+diag(R) >= 0 from LAPACK's compact form (``_normalized_r``) and then
+forms Q over its reflectors: the unpivoted QR by ``dorgqr``, the two
+pivoted ones (``_q_and_r``) by one ``gemqrt`` per panel of reflectors,
+blocked by a T that ``larft`` builds from tau.  The Q of a ``geqrt`` QR
+is also applied to a matrix without forming it (``gemqrt``, the tall
+path of ``power_urv``).  Beside the QRs: the P L D basis of a LAPACK
+partial-pivoted LU (``getrf`` and ``laswp``, the renormalization of the
+intermediate power steps), a dense SVD, singular values and spectral
+norms, and the eigenvalues of a symmetric matrix.
 These are the building blocks for every factorization in the package.
 All routines are pure functions of float64 arrays and never mutate
 their inputs.
@@ -18,8 +21,10 @@ The LAPACK kernels return Fortran-order arrays, the layout LAPACK writes,
 and ``product`` writes ``x @ y`` in that order too, so a power iteration
 whose samples are formed by ``product`` makes no transposing copy: a
 kernel copies its Fortran-order input once, plainly, and returns that
-copy.  The layout moves no value of a kernel: ``householder_qr`` and
-``lu_basis`` give bitwise the same factors for an input in any layout.
+copy.  Any other input is copied to Fortran order 64 rows at a time
+(``_fortran_copy``).  The layout moves no value of a kernel:
+``householder_qr`` and ``lu_basis`` give bitwise the same factors for an
+input in any layout.
 
 This module is the package's one seam to dense linear algebra: every SVD,
 QR, LU and eigenvalue call, and every product that is factored next, is a
@@ -62,6 +67,8 @@ _SIGNATURES = {
     # SIDE, TRANS, M, N, K, NB, V, LDV, T, LDT, C, LDC, WORK
     "dgemqrt": ((_CHAR, _CHAR, *(_INT,) * 4, _F64, _INT, _F64, _INT, _F64, _INT, _F64), "info"),
     "dorgqr": ((_INT, _INT, _INT, _F64, _INT, _F64), "work"),  # M, N, K, A, LDA, TAU
+    # DIRECT, STOREV, N, K, V, LDV, TAU, T, LDT
+    "dlarft": ((_CHAR, _CHAR, _INT, _INT, _F64, _INT, _F64, _F64, _INT), None),
     "dgeqp3": ((_INT, _INT, _F64, _INT, _I64, _F64), "work"),  # M, N, A, LDA, JPVT, TAU
     "dgetrf": ((_INT, _INT, _F64, _INT, _I64), "info"),        # M, N, A, LDA, IPIV
     "dlaswp": ((_INT, _F64, _INT, _INT, _INT, _I64, _INT), None),  # N, A, LDA, K1, K2, IPIV, INCX
@@ -229,7 +236,9 @@ def _householder(x):
     trailing squares sum below ``_TINY_SQUARES`` is first scaled by an
     exact power of two, as LAPACK's ``dlarfg`` does, so that they do not
     lose digits in the subnormal range; v and tau do not depend on the
-    scale.
+    scale.  Where ``(x[0] - ||x||)**2`` would still fall below
+    ``_TINY_SQUARES`` (a trailing norm below about 2**-250 ``x[0]``), tau
+    is formed without that square.
     """
     sigma = x[1:] @ x[1:]
     if sigma < _TINY_SQUARES and x[1:].any():
@@ -245,7 +254,12 @@ def _householder(x):
         v0 = x[0] - mu
     else:
         v0 = -sigma / (x[0] + mu)
-    tau = 2.0 * v0 * v0 / (sigma + v0 * v0)
+    if v0 * v0 < _TINY_SQUARES:
+        # only when x[0] > 0 (else |v0| >= sqrt(sigma)): the same tau, with
+        # no subnormal v0 * v0 in it
+        tau = 2.0 * sigma / (sigma + (x[0] + mu) ** 2)
+    else:
+        tau = 2.0 * v0 * v0 / (sigma + v0 * v0)
     v[1:] = x[1:] / v0
     return v, tau
 
@@ -263,7 +277,7 @@ def householder_qr(a) -> QrResult:
     """Householder QR of a tall matrix, normalized to ``diag(r) >= 0``.
 
     LAPACK ``dgeqrt`` on one Fortran-order copy of ``a`` (``_compact_qr``),
-    then ``dorgqr`` forms Q (``_form_q``).  ``dgeqrt`` factors each panel
+    then ``dorgqr`` forms Q over it.  ``dgeqrt`` factors each panel
     of ``_QR_BLOCK`` columns recursively, in level-3 BLAS (Elmroth &
     Gustavson 2000), where ``dgeqrf``'s panels are level 2; ``dorgqr``
     takes tau from the diagonals of its triangular T blocks.  The
@@ -303,7 +317,9 @@ def householder_qr(a) -> QrResult:
     j = np.arange(n)
     tau = tw[:, n:].ravel(order="F")[:n]
     tau[:] = tw[j % nb, j]
-    return QrResult(_form_q(f, tau, d), finite_result(r, "R of householder_qr"))
+    _lapack("dorgqr", m, n, n, f, max(1, m), tau)
+    f *= d
+    return QrResult(f, finite_result(r, "R of householder_qr"))
 
 
 class _CompactQ(NamedTuple):
@@ -319,7 +335,7 @@ def _compact_qr(a) -> tuple[_CompactQ, np.ndarray]:
 
     ``dgeqrt`` on one Fortran-order copy of ``a``; r is normalized to
     ``diag(r) >= 0`` and bitwise ``householder_qr``'s.  Q stays as its
-    reflectors and T blocks, for ``householder_qr``'s ``_form_q`` or for
+    reflectors and T blocks, for ``householder_qr``, which forms it, or for
     ``_apply_q``, which applies it without forming it.
     """
     m, n = a.shape
@@ -328,7 +344,7 @@ def _compact_qr(a) -> tuple[_CompactQ, np.ndarray]:
     # input-sized copy: a small array made after it and kept through the
     # epilogue raised factor_large's peak RSS by 8 MB (glibc heap placement)
     tw = np.empty((nb, 2 * n), order="F")
-    f = np.array(a, order="F")
+    f = _fortran_copy(a)
     _lapack("dgeqrt", m, n, nb, f, max(1, m), tw[:, :n], nb, tw[:, n:])
     r, d = _normalized_r(f, n)
     return _CompactQ(f, tw, d), r
@@ -344,12 +360,62 @@ def _apply_q(q: _CompactQ, u) -> np.ndarray:
     """
     f, tw, d = q
     m, n = f.shape
-    nb = tw.shape[0]
     c = np.zeros((m, n), order="F")
     np.multiply(u, d[:, None], out=c[:n])
-    _lapack("dgemqrt", b"L", b"N", m, n, n, nb, f, max(1, m), tw[:, :n], nb, c, max(1, m),
-            tw[:, n:])
+    _reflect(f, tw[:, :n], n, c, m, n, max(1, m), tw[:, n:])
     return c
+
+
+def _reflect(v, t, k, c, m, n, ldc, work):
+    """``C := (H_1 ... H_k) C`` in place, for the m x n C at ``c``, by one LAPACK ``dgemqrt``.
+
+    Reflector j is column j of ``v`` below its unit diagonal (LDV = rows
+    of ``v``), blocked by the triangular T blocks in ``t`` (NB = LDT = rows
+    of ``t``, or k if fewer).  ``c`` is a Fortran-order array or a 1-d
+    view of one, starting at C's first entry, with leading dimension
+    ``ldc``; ``work`` holds n * NB entries.
+    """
+    nb = min(t.shape[0], k)
+    _lapack("dgemqrt", b"L", b"N", m, n, k, nb, v, max(1, v.shape[0]), t, t.shape[0], c, ldc,
+            work)
+
+
+def _fortran_copy(a, rows=None) -> np.ndarray:
+    """A Fortran-order copy of ``a``, or of ``a[rows]`` for an index array ``rows``.
+
+    A source that is not Fortran-contiguous, or a row gather, is copied 64
+    rows at a time: each block goes down the columns while it is in cache,
+    where one transposing copy strides through all of ``a`` for each
+    column (C-order 4096x512: 13.3 against 3.1 ms, medians of 15).  The
+    values are copied exactly, so the layout moves no result.
+    """
+    if rows is None and a.flags.f_contiguous:
+        return np.array(a, order="F")
+    f = np.empty((a.shape[0] if rows is None else rows.size, a.shape[1]), order="F")
+    for i in range(0, f.shape[0], 64):
+        f[i:i + 64] = a[i:i + 64] if rows is None else a[rows[i:i + 64]]
+    return f
+
+
+def _zero_triangle(x, upper: bool):
+    """Zero the strict upper (or lower) triangle of the Fortran-order ``x`` in place.
+
+    128 columns at a time: off the diagonal a block is one plain fill, and
+    only a 128 x 128 mask is made, not one of ``x``'s size (the R cut of
+    a 2048^2 factor, copy included: 31 against 8.3 ms, medians of 7).
+    """
+    k, n = x.shape
+    tri = np.tri(128, 128, -1, dtype=bool)
+    if upper:
+        tri = tri.T
+    for c0 in range(0, n, 128):
+        c1 = min(c0 + 128, n)
+        rows = max(0, min(c1, k) - c0)  # the diagonal block's
+        if upper:
+            x[:c0, c0:c1] = 0.0
+        else:
+            x[c0 + rows:, c0:c1] = 0.0
+        np.copyto(x[c0:c0 + rows, c0:c1], 0.0, where=tri[:rows, :c1 - c0])
 
 
 def _normalized_r(f, k):
@@ -358,29 +424,44 @@ def _normalized_r(f, k):
     ``r = diag(d) R`` for the +-1 signs ``d``; the multiply is exact and leaves -0.0 alone.
     """
     r = f[:k].copy(order="F")
-    np.copyto(r, 0.0, where=np.tri(k, f.shape[1], -1, dtype=bool))
+    _zero_triangle(r, upper=False)
     d = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     r *= d[:, None]
     return r, d
 
 
-def _form_q(f, tau, d):
-    """The m x k Q, times diag(d), of LAPACK's compact QR in ``f``, formed in ``f`` by ``dorgqr``.
+def _q_and_r(f, tau):
+    """Fortran-order ``(q, r)``, ``diag(r) >= 0``, of LAPACK's compact QR in ``f``, Q formed in place.
 
-    k = ``tau.size``; Q is ``f`` itself when k is its column count.
+    R is cut from ``f`` first.  Then ``Q = (H_1 ... H_k)[:, :k] diag(d)``,
+    k = ``tau.size``, is formed over the reflectors by a backward loop
+    over panels of ``_QR_BLOCK`` of them: LAPACK's blocked ``dorgqr``
+    without its unblocked last 128 columns (Schreiber & Van Loan 1989;
+    Joffrain et al. 2006).  For each panel ``dlarft`` builds T from tau,
+    its reflectors are copied to an m x nb scratch, its columns are set to
+    diag(d) over zeros, and one ``dgemqrt`` applies it to them and to the
+    columns already formed.  On a wide ``f`` Q is a compact copy of its
+    first k columns.
     """
     m, n = f.shape
     k = tau.size
-    _lapack("dorgqr", m, k, k, f, max(1, m), tau)
-    q = f if k == n else f[:, :k].copy(order="F")
-    q *= d
-    return q
-
-
-def _q_and_r(f, tau):
-    """Fortran-order ``(q, r)``, ``diag(r) >= 0``, of LAPACK's compact QR in ``f``."""
-    r, d = _normalized_r(f, tau.size)
-    return _form_q(f, tau, d), r
+    r, d = _normalized_r(f, k)
+    nb = max(1, min(_QR_BLOCK, k))
+    v = np.empty((m, nb), order="F")
+    t = np.empty((nb, nb), order="F")
+    work = np.empty(k * nb)
+    # sub-blocks of f go to LAPACK as 1-d views from their first entry, LDA = m
+    flat = np.reshape(f, -1, order="F", copy=False)
+    for j0 in range((k - 1) // nb * nb, -1, -nb):
+        j1 = min(j0 + nb, k)
+        v[:m - j0, :j1 - j0] = f[j0:, j0:j1]
+        _lapack("dlarft", b"F", b"C", m - j0, j1 - j0, v, max(1, m), tau[j0:j1], t, nb)
+        f[j0:j1, j1:k] = 0.0  # R above the columns already formed
+        f[j0:, j0:j1] = 0.0
+        c = flat[j0 + j0 * m:]
+        c[:(j1 - j0) * (m + 1):m + 1] = d[j0:j1]  # the panel's diagonal
+        _reflect(v, t, j1 - j0, c, m - j0, k - j0, m, work)
+    return (f if k == n else f[:, :k].copy(order="F")), r
 
 
 def lu_basis(y) -> LuBasis:
@@ -417,12 +498,12 @@ def lu_basis(y) -> LuBasis:
     m, n = y.shape
     if m < n:
         raise ValueError(f"lu_basis requires rows >= cols, got {m}x{n}")
-    f = np.array(y, order="F")
+    f = _fortran_copy(y)
     ipiv = np.empty(n, dtype=np.int64)
     _lapack("dgetrf", m, n, f, max(1, m), ipiv)
     udiag = np.diagonal(f).copy()
     # overwrite U with the unit diagonal of L, then scale column j by D_j
-    np.copyto(f[:n], 0.0, where=~np.tri(n, dtype=bool))
+    _zero_triangle(f[:n], upper=True)
     np.fill_diagonal(f, 1.0)
     f *= np.where(udiag < 0.0, -1.0, 1.0)
     # dgetrf swapped rows i and ipiv[i] of y for i = 1..n in turn, so
@@ -432,9 +513,12 @@ def lu_basis(y) -> LuBasis:
 
 
 def pivoted_qr(a) -> CpqrResult:
-    """Column-pivoted QR by LAPACK ``dgeqp3``/``dorgqr``, normalized to ``diag(r) >= 0``.
+    """Column-pivoted QR by LAPACK ``dgeqp3``, normalized to ``diag(r) >= 0``.
 
-    The BLAS-3 pivoted QR that Stewart's QLP is meant to run on.  Same
+    The BLAS-3 pivoted QR that Stewart's QLP is meant to run on.  Q is
+    formed in place over ``dgeqp3``'s reflectors by ``_q_and_r``: one
+    ``dgemqrt`` per panel of ``_QR_BLOCK`` reflectors, whose T ``dlarft``
+    builds from tau, and no ``dorgqr``.  Same
     contract as ``cpqr``, including its exact power-of-two prescale, but
     LAPACK downdates the column norms differently, so nearly tied columns
     may pivot otherwise: on Kahan's matrix (n = 96) ``geqp3`` keeps the
@@ -464,7 +548,9 @@ def cpqr(a) -> CpqrResult:
     runs on ``pivoted_qr``.  Only the pivoting recurrence is hand-written,
     because the pinned Kahan ratio (acceptance criterion 9) depends on it;
     each reflector (v[0] = 1, H = I - tau v v^T) is stored below the
-    diagonal, LAPACK's compact form, for the epilogue of the LAPACK QRs.
+    diagonal, LAPACK's compact form, and Q is formed from it as
+    ``pivoted_qr``'s is (``_q_and_r``: ``dlarft`` and one ``dgemqrt`` per
+    panel), after R has been cut from it.
 
     At step j the remaining column of largest trailing norm is moved to
     position j (ties broken by lowest column index).  Trailing squared
@@ -521,7 +607,7 @@ def cpqr(a) -> CpqrResult:
                 ref2[cols] = fresh
             norms2[j + 1 :] = upd
 
-    q, r = _q_and_r(np.asfortranarray(r), taus)
+    q, r = _q_and_r(_fortran_copy(r), taus)
     return CpqrResult(q, finite_result(np.ldexp(r, scale, out=r), "R of cpqr"), perm)
 
 

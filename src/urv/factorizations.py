@@ -32,6 +32,7 @@ from .core import (
     RankCollapseError,
     _apply_q,
     _compact_qr,
+    _fortran_copy,
     finite_array,
     finite_result,
     householder_qr,
@@ -239,8 +240,8 @@ def qlp(a) -> UrvFactorization:
     if m < n:
         raise ValueError(f"qlp requires rows >= cols, got {m}x{n}")
     q1, r1, perm1 = pivoted_qr(a.T)
-    b = np.empty((m, n), order="F")
-    b[perm1, :] = finite_result(r1, "first pivoted QR").T
+    # b = P1 R1^T, row j of b being row argsort(perm1)[j] of R1^T
+    b = _fortran_copy(finite_result(r1, "first pivoted QR").T, np.argsort(perm1))
     del r1  # b holds its values: drop it before the second QR, the call's peak
     second = pivoted_qr(b)
     finite_result(second.r, "second pivoted QR")

@@ -526,3 +526,19 @@ def test_timing_rejects_rsvd(tmp_path, capsys):
     # timing runs the table entries that need no --ell
     assert main(["timing", "--sizes", "16", "--algs", "rsvd", "--out", str(tmp_path / "t.csv")]) == 1
     assert "unknown timing algorithm 'rsvd'" in capsys.readouterr().err
+
+
+def test_timing_kernels(tmp_path, capsys):
+    # timing puts qlp next to its own kernel (geqp3, the pivoted QR it makes
+    # twice) and the paper's baseline (svd); bench profiles factorizations only
+    out = tmp_path / "t.csv"
+    assert main(["timing", "--sizes", "24,40x16", "--reps", "1", "--algs", "qlp,geqp3,svd",
+                 "--out", str(out)]) == 0
+    rows = [r.split(",")[:2] for r in out.read_text().splitlines()[1:]]
+    assert rows == [[alg, n] for n in ("24", "40x16") for alg in ("qlp", "geqp3", "svd")]
+    for alg in ("qr", "geqp3", "svd"):
+        assert main(["bench", "--matrix", "slow", "--alg", alg]) == 1
+    assert capsys.readouterr().err.count("invalid choice") == 3
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert "--alg {ddh,powerurv,qlp,rsvd,cpqr}" in capsys.readouterr().out

@@ -1,14 +1,15 @@
 """Deterministic kernel tests: QR, CPQR, LU basis, SVD, spectral norm."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import urv
-from urv.core import (EPS, _QR_BLOCK, _SIGNATURES, _lapack, eigvalsh, lu_basis, max_exponent,
-                      pivoted_qr, product)
+from urv.core import (EPS, _QR_BLOCK, _SIGNATURES, _lapack, _normalized_r, eigvalsh, lu_basis,
+                      max_exponent, pivoted_qr, product)
 from urv.factorizations import _orth
 
 from conftest import jacobi_eigenvalues
@@ -35,7 +36,9 @@ class TestLapackBinding:
 
 
 class TestHouseholderQr:
-    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (5, 3), (200, 160), (700, 64)])
+    # 131 rows: the row-block copy of a C-order input ends in a partial block
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (5, 3), (200, 160), (700, 64),
+                                       (131, 37)])
     @pytest.mark.parametrize("layout", ["C", "F", "slice"])
     def test_bitwise_numpy_oracle(self, shape, layout):
         # bitwise the same factors in every layout, the input untouched; numpy's
@@ -210,6 +213,32 @@ class _PivotedQrContract:
             _, _, perm = sla.qr(a, pivoting=True)
             assert np.array_equal(res.perm, perm)
 
+    @pytest.mark.parametrize("shape", [
+        (8, 1), (_QR_BLOCK + 6, _QR_BLOCK - 1), (_QR_BLOCK + 6, _QR_BLOCK),
+        (_QR_BLOCK + 6, _QR_BLOCK + 1), (2 * _QR_BLOCK + 9, 2 * _QR_BLOCK + 3),  # n around nb
+        (2 * _QR_BLOCK + 3, 2 * _QR_BLOCK + 3), (40, 200),  # m = n, wide
+        (0, 0), (4, 0), (0, 4),
+    ])
+    def test_block_edges(self, shape, monkeypatch):
+        # Q is formed in place, one panel of _QR_BLOCK reflectors at a time,
+        # after R is cut from the compact factor: R is bitwise the one cut
+        # from the factor as it stood before Q was formed
+        seen = []
+        q_and_r = urv.core._q_and_r
+        monkeypatch.setattr(urv.core, "_q_and_r",
+                            lambda f, tau: (seen.append(f.copy()), q_and_r(f, tau))[1])
+        m, n = shape
+        k = min(m, n)
+        a = np.random.default_rng(5).standard_normal(shape)
+        res = self.kernel(a)
+        assert res.q.shape == (m, k) and res.r.shape == (k, n)
+        assert res.q.flags.f_contiguous and res.r.flags.f_contiguous
+        assert np.array_equal(res.r, np.ldexp(_normalized_r(seen[0], k)[0], max_exponent(a)))
+        assert np.linalg.norm(res.q.T @ res.q - np.eye(k)) <= 10 * max(n, 1) * EPS
+        bound = 10 * max(m, n, 1) * EPS
+        assert np.linalg.norm(res.q @ res.r - a[:, res.perm]) <= bound * np.linalg.norm(a)
+        assert (np.diag(res.r) >= 0).all()
+
 
 class TestCpqr(_PivotedQrContract):
     kernel = staticmethod(urv.cpqr)
@@ -232,6 +261,17 @@ class TestCpqr(_PivotedQrContract):
         a = np.random.default_rng(0).standard_normal((200, 160)) * np.exp2(np.linspace(lo, 0, 160))
         res = urv.cpqr(a)
         assert np.abs(res.q.T @ res.q - np.eye(160)).max() <= 1e-14
+        assert np.abs(res.q @ res.r - a[:, res.perm]).max() <= 1e-14 * np.abs(a).max()
+
+    @pytest.mark.parametrize("e", [-257, -262, -266, -270, -300])
+    def test_tiny_trailing_entries(self, e):
+        # below a first row of order 1, the rest of the first column is
+        # 2**e of it: v[1] squared is subnormal from e = -262 on (the
+        # 2**-1000 rescale does not reach it), and tau is formed without it
+        a = urv.gaussian_matrix(50, 10, urv.RngSeed(5)) * 2.0**e
+        a[0] = np.linspace(1.0, 0.5, 10)
+        res = urv.cpqr(a)
+        assert np.abs(res.q.T @ res.q - np.eye(10)).max() <= 1e-14
         assert np.abs(res.q @ res.r - a[:, res.perm]).max() <= 1e-14 * np.abs(a).max()
 
 
@@ -281,7 +321,8 @@ class TestLuBasis:
         # partial pivoting: |L| <= 1, with the pivot's +-1 in every column
         assert np.array_equal(np.abs(pld).max(axis=0), np.ones(shape[1]))
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    # 131 rows: the row-block copy of a C-order input ends in a partial block
+    @pytest.mark.parametrize("shape", SHAPES + [(131, 37)])
     @pytest.mark.parametrize("layout", ["C", "F", "slice"])
     def test_layout_independent(self, shape, layout):
         # the same pld and udiag, bitwise, for any layout, and y is left as it was
@@ -489,6 +530,30 @@ def test_one_dgemqrt_call():
     # the tall path's Q0 is applied by one dgemqrt, never formed
     calls = _lapack_calls("dgemqrt")
     assert len(calls) == 1, f"_lapack('dgemqrt', ...) at core.py lines {calls}"
+
+
+def test_one_dlarft_call():
+    # the pivoted QRs' epilogue builds each panel's T from tau in one place
+    calls = _lapack_calls("dlarft")
+    assert len(calls) == 1, f"_lapack('dlarft', ...) at core.py lines {calls}"
+
+
+@pytest.mark.parametrize("cut", ["_normalized_r", "lu_basis"])
+def test_triangle_cut_makes_no_full_mask(cut):
+    # the R cut and the LU's unit-lower cut are made in column blocks, so
+    # that no boolean mask of the factor's size (n^2 bytes) is allocated
+    n = 512
+    f = np.asfortranarray(urv.gaussian_matrix(n, n, urv.RngSeed(3)))
+    tracemalloc.start()
+    try:
+        if cut == "lu_basis":
+            lu_basis(f)
+        else:
+            _normalized_r(f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.nbytes + n * n
 
 
 def test_blas_pool_only_in_core_and_cli():
