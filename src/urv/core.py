@@ -3,7 +3,8 @@
 LAPACK Householder QR (``geqrt``, whose panels are factored recursively
 at level 3), LAPACK column-pivoted QR (``geqp3``, the BLAS-3
 algorithm of Quintana-Orti, Sun & Bischof 1998) and a column-pivoted QR
-whose pivoting and norm downdating are hand-written.  Each cuts R with
+whose pivoting and norm downdating are hand-written around LAPACK's
+reflectors (``larfgp`` forms each, ``larf`` applies it).  Each cuts R with
 diag(R) >= 0 from LAPACK's compact form (``_normalized_r``) and then
 forms Q over its reflectors: the unpivoted QR by ``dorgqr``, the two
 pivoted ones (``_q_and_r``) by one ``gemqrt`` per panel of reflectors,
@@ -72,6 +73,9 @@ _SIGNATURES = {
     "dgeqp3": ((_INT, _INT, _F64, _INT, _I64, _F64), "work"),  # M, N, A, LDA, JPVT, TAU
     "dgetrf": ((_INT, _INT, _F64, _INT, _I64), "info"),        # M, N, A, LDA, IPIV
     "dlaswp": ((_INT, _F64, _INT, _INT, _INT, _I64, _INT), None),  # N, A, LDA, K1, K2, IPIV, INCX
+    "dlarfgp": ((_INT, _F64, _F64, _INT, _F64), None),  # N, ALPHA, X, INCX, TAU
+    # SIDE, M, N, V, INCV, TAU, C, LDC, WORK
+    "dlarf": ((_CHAR, _INT, _INT, _F64, _INT, _F64, _F64, _INT, _F64), None),
 }
 try:
     _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -99,10 +103,6 @@ _SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
 # other at 1024^2, 2048^2 and 4096x512 (2 cores, OpenBLAS 0.3.31 Haswell),
 # where 16 was 10-16% slower
 _QR_BLOCK = 32
-
-# _householder rescales a vector whose trailing squares sum below this, far
-# above the subnormal range (2**-1022), where squares lose digits
-_TINY_SQUARES = 2.0**-1000
 
 # Recompute a downdated column norm from scratch once it has shrunk below
 # this fraction of its reference value (guards catastrophic cancellation).
@@ -202,9 +202,10 @@ def _lapack(name: str, *args) -> int:
     """Call the LAPACK routine ``name`` with ``args``, then the tail of ``_SIGNATURES``.
 
     Ints pass by reference as int64 (ILP64), CHARACTER arguments as
-    one-byte ``bytes``; arrays must be writeable and Fortran-contiguous,
-    with the dtype of ``_SIGNATURES``.  A workspace query picks the
-    optimal LWORK, so blocked code runs.  A negative INFO
+    one-byte ``bytes``, a scalar double (``dlarfgp``'s ALPHA and TAU) as an
+    array that starts with it; arrays must be writeable and
+    Fortran-contiguous, with the dtype of ``_SIGNATURES``.  A workspace
+    query picks the optimal LWORK, so blocked code runs.  A negative INFO
     (an illegal argument) raises ``numpy.linalg.LinAlgError``; INFO is
     returned otherwise (0 for a routine without one), since a positive one
     is a result (``dgetrf``: an exact zero pivot), not a failure.
@@ -226,42 +227,6 @@ def _lapack(name: str, *args) -> int:
     call(query, ctypes.byref(ctypes.c_int64(-1)))
     lwork = max(1, int(query[0]))
     return call(np.empty(lwork), ctypes.byref(ctypes.c_int64(lwork)))
-
-
-def _householder(x):
-    """Reflector (v, tau) with v[0] = 1 and (I - tau*v*v^T) x = +||x|| e_1.
-
-    The sign is fixed so the produced diagonal entry is always
-    nonnegative; both branches avoid cancellation.  An ``x`` whose
-    trailing squares sum below ``_TINY_SQUARES`` is first scaled by an
-    exact power of two, as LAPACK's ``dlarfg`` does, so that they do not
-    lose digits in the subnormal range; v and tau do not depend on the
-    scale.  Where ``(x[0] - ||x||)**2`` would still fall below
-    ``_TINY_SQUARES`` (a trailing norm below about 2**-250 ``x[0]``), tau
-    is formed without that square.
-    """
-    sigma = x[1:] @ x[1:]
-    if sigma < _TINY_SQUARES and x[1:].any():
-        x = np.ldexp(x, -max_exponent(x))
-        sigma = x[1:] @ x[1:]
-    v = x.copy()
-    v[0] = 1.0
-    if sigma == 0.0:
-        # Already collinear with e_1; reflect only to fix a negative sign.
-        return v, (0.0 if x[0] >= 0.0 else 2.0)
-    mu = np.sqrt(x[0] * x[0] + sigma)
-    if x[0] <= 0.0:
-        v0 = x[0] - mu
-    else:
-        v0 = -sigma / (x[0] + mu)
-    if v0 * v0 < _TINY_SQUARES:
-        # only when x[0] > 0 (else |v0| >= sqrt(sigma)): the same tau, with
-        # no subnormal v0 * v0 in it
-        tau = 2.0 * sigma / (sigma + (x[0] + mu) ** 2)
-    else:
-        tau = 2.0 * v0 * v0 / (sigma + v0 * v0)
-    v[1:] = x[1:] / v0
-    return v, tau
 
 
 def product(x, y) -> np.ndarray:
@@ -522,7 +487,7 @@ def pivoted_qr(a) -> CpqrResult:
     contract as ``cpqr``, including its exact power-of-two prescale, but
     LAPACK downdates the column norms differently, so nearly tied columns
     may pivot otherwise: on Kahan's matrix (n = 96) ``geqp3`` keeps the
-    identity order, while roundoff in ``cpqr`` moves 46 columns.  ``q``
+    identity order, while roundoff in ``cpqr`` moves 61 columns.  ``q``
     and ``r`` are Fortran-contiguous; on a wide input ``q`` is a compact
     copy, not a view of the k x n LAPACK buffer.
 
@@ -546,8 +511,11 @@ def cpqr(a) -> CpqrResult:
 
     Kept for ``urv bench --alg cpqr`` and the Kahan demonstration; ``qlp``
     runs on ``pivoted_qr``.  Only the pivoting recurrence is hand-written,
-    because the pinned Kahan ratio (acceptance criterion 9) depends on it;
-    each reflector (v[0] = 1, H = I - tau v v^T) is stored below the
+    because the pinned Kahan ratio (acceptance criterion 9) depends on it.
+    Each column's reflector (v[0] = 1, H = I - tau v v^T) comes from LAPACK
+    ``dlarfgp``, which makes the diagonal entry +||x|| >= 0 and rescales a
+    column whose norm is near the subnormal range, and one ``dlarf``
+    applies it to the columns to its right.  It is stored below the
     diagonal, LAPACK's compact form, and Q is formed from it as
     ``pivoted_qr``'s is (``_q_and_r``: ``dlarft`` and one ``dgemqrt`` per
     panel), after R has been cut from it.
@@ -577,11 +545,18 @@ def cpqr(a) -> CpqrResult:
     m, n = a.shape
     k = min(m, n)
     scale = max_exponent(a)
+    # C order, not Fortran: the summation order of these einsum norms
+    # decides how the exact ties of Kahan's matrix break, and in Fortran
+    # order (with dlarf applied from the left) criterion 9's ratio read 23.8
     r = np.ldexp(a, -scale, order="C")
     perm = np.arange(n)
     taus = np.zeros(k)
     norms2 = np.einsum("ij,ij->j", r, r)
     ref2 = norms2.copy()
+    # r[j:, j + 1:] goes to dlarf as its transpose: the Fortran-order
+    # (n - j - 1) x (m - j) matrix at flat[j * n + j + 1], LDC = n
+    flat = np.reshape(r, -1, copy=False)
+    work = np.empty(n)
 
     for j in range(k):
         p = j + int(np.argmax(norms2[j:]))
@@ -590,13 +565,14 @@ def cpqr(a) -> CpqrResult:
             perm[[j, p]] = perm[[p, j]]
             norms2[[j, p]] = norms2[[p, j]]
             ref2[[j, p]] = ref2[[p, j]]
-        v, tau = _householder(r[j:, j])
-        if tau != 0.0:
-            w = tau * (v @ r[j:, j:])
-            r[j:, j:] -= np.outer(v, w)
-        r[j + 1 :, j] = v[1:]
-        taus[j] = tau
+        # x[0] becomes beta = +||r[j:, j]||, x[1:] the reflector below its unit head
+        x = r[j:, j].copy()
+        _lapack("dlarfgp", m - j, x, x[1:], 1, taus[j:])
+        r[j:, j] = x
         if j + 1 < n:
+            x[0] = 1.0
+            _lapack("dlarf", b"R", n - j - 1, m - j, x, 1, taus[j:], flat[j * n + j + 1:], n,
+                    work)
             upd = norms2[j + 1 :] - r[j, j + 1 :] ** 2
             np.clip(upd, 0.0, None, out=upd)
             stale = upd < _NORM_RECOMPUTE_FRACTION * ref2[j + 1 :]

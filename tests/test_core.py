@@ -184,6 +184,14 @@ class _PivotedQrContract:
         assert np.array_equal(np.diag(res.r), [1.0, 1.0, 1.0, 0.0])
         assert self.kernel(np.eye(5)).perm.tolist() == list(range(5))
 
+    def test_negative_head_zero_tail(self):
+        # each column is a negative multiple of e_j: its reflector (tau = 2)
+        # only flips that sign, so R's diagonal is positive and Q is exactly -I
+        res = self.kernel(np.diag([-3.0, -2.0, -1.0]))
+        assert res.perm.tolist() == [0, 1, 2]
+        assert np.array_equal(res.r, np.diag([3.0, 2.0, 1.0]))
+        assert np.array_equal(res.q, -np.eye(3))
+
     @pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25), (10, 60), (1, 4)])
     def test_invariants(self, shape):
         # wide shapes are how qlp calls the kernel, on the transpose
@@ -256,8 +264,8 @@ class TestCpqr(_PivotedQrContract):
     @pytest.mark.parametrize("lo", [-540, -1000])
     def test_mixed_scale_columns(self, lo):
         # columns scaled from 2**lo up to 1: the trailing squares of the
-        # small ones fall near the subnormal range, so their reflectors are
-        # formed from an exactly rescaled copy, as LAPACK's dlarfg does
+        # small ones fall near or into the subnormal range, where dlarfgp's
+        # scaled norm and its rescaling keep their reflectors accurate
         a = np.random.default_rng(0).standard_normal((200, 160)) * np.exp2(np.linspace(lo, 0, 160))
         res = urv.cpqr(a)
         assert np.abs(res.q.T @ res.q - np.eye(160)).max() <= 1e-14
@@ -266,8 +274,8 @@ class TestCpqr(_PivotedQrContract):
     @pytest.mark.parametrize("e", [-257, -262, -266, -270, -300])
     def test_tiny_trailing_entries(self, e):
         # below a first row of order 1, the rest of the first column is
-        # 2**e of it: v[1] squared is subnormal from e = -262 on (the
-        # 2**-1000 rescale does not reach it), and tau is formed without it
+        # 2**e of it: x[0] - ||x|| is then of order 2**(2e), whose square is
+        # subnormal from e = -262 on; dlarfgp forms tau without that square
         a = urv.gaussian_matrix(50, 10, urv.RngSeed(5)) * 2.0**e
         a[0] = np.linspace(1.0, 0.5, 10)
         res = urv.cpqr(a)
@@ -513,29 +521,15 @@ def _lapack_calls(routine):
             and node.args and getattr(node.args[0], "value", None) == routine]
 
 
-def test_one_dorgqr_call():
-    # every QR ends in the one epilogue that forms Q from LAPACK's compact form
-    calls = _lapack_calls("dorgqr")
-    assert len(calls) == 1, f"_lapack('dorgqr', ...) at core.py lines {calls}"
-
-
-def test_one_dgeqrt_call():
-    # every unpivoted QR is _compact_qr's one dgeqrt; dgeqrf is not bound
-    calls = _lapack_calls("dgeqrt")
-    assert len(calls) == 1, f"_lapack('dgeqrt', ...) at core.py lines {calls}"
+@pytest.mark.parametrize("routine", sorted(_SIGNATURES))
+def test_one_call_per_binding(routine):
+    # each bound LAPACK routine is called from one place in core.py (every
+    # unpivoted QR is _compact_qr's one dgeqrt, cpqr's reflectors are one
+    # dlarfgp and one dlarf, ...), so an unused binding fails too; dgeqrf,
+    # whose panels are level 2, is not bound
+    calls = _lapack_calls(routine)
+    assert len(calls) == 1, f"_lapack({routine!r}, ...) at core.py lines {calls}"
     assert not _lapack_calls("dgeqrf") and "dgeqrf" not in _SIGNATURES
-
-
-def test_one_dgemqrt_call():
-    # the tall path's Q0 is applied by one dgemqrt, never formed
-    calls = _lapack_calls("dgemqrt")
-    assert len(calls) == 1, f"_lapack('dgemqrt', ...) at core.py lines {calls}"
-
-
-def test_one_dlarft_call():
-    # the pivoted QRs' epilogue builds each panel's T from tau in one place
-    calls = _lapack_calls("dlarft")
-    assert len(calls) == 1, f"_lapack('dlarft', ...) at core.py lines {calls}"
 
 
 @pytest.mark.parametrize("cut", ["_normalized_r", "lu_basis"])
