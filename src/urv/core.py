@@ -5,15 +5,16 @@ at level 3), LAPACK column-pivoted QR (``geqp3``, the BLAS-3
 algorithm of Quintana-Orti, Sun & Bischof 1998) and a column-pivoted QR
 whose pivoting and norm downdating are hand-written around LAPACK's
 reflectors (``larfgp`` forms each, ``larf`` applies it).  Each cuts R with
-diag(R) >= 0 from LAPACK's compact form (``_normalized_r``) and then
-forms Q over its reflectors: the unpivoted QR by ``dorgqr``, the two
-pivoted ones (``_q_and_r``) by one ``gemqrt`` per panel of reflectors,
-blocked by a T that ``larft`` builds from tau.  The Q of a ``geqrt`` QR
-is also applied to a matrix without forming it (``gemqrt``, the tall
-path of ``power_urv``).  Beside the QRs: the P L D basis of a LAPACK
-partial-pivoted LU (``getrf`` and ``laswp``, the renormalization of the
-intermediate power steps), a dense SVD, singular values and spectral
-norms, and the eigenvalues of a symmetric matrix.
+diag(R) >= 0 from LAPACK's compact form (``_normalized_r``, one ``lacpy``
+of its upper trapezoid) and then forms Q over its reflectors: the
+unpivoted QR by ``dorgqr``, the two pivoted ones (``_q_and_r``) by one
+``gemqrt`` per panel of reflectors, blocked by a T that ``larft`` builds
+from tau.  The Q of a ``geqrt`` QR is also applied to a matrix without
+forming it (``gemqrt``, the tall path of ``power_urv``).  Beside the QRs:
+the P L D basis of a LAPACK partial-pivoted LU (``getrf``, ``laset`` for
+L's unit diagonal and ``laswp``, the renormalization of the intermediate
+power steps), a dense SVD, singular values and spectral norms, and the
+eigenvalues of a symmetric matrix.
 These are the building blocks for every factorization in the package.
 All routines are pure functions of float64 arrays and never mutate
 their inputs.
@@ -35,7 +36,8 @@ from ``numpy.linalg`` only ``LinAlgError`` and ``norm`` without ``ord``.
 
 An input is checked once, where it enters: each function that ``urv``
 exports checks its arrays with ``validated_matrix`` or ``finite_array``,
-whose error names the array, and the kernels it does not export
+and its integer parameters with ``int_param``, whose error names the
+argument, and the kernels it does not export
 (``lu_basis``, ``pivoted_qr``, ``svdvals``, ``eigvalsh``) check nothing.
 
 The QRs and the LU call the LAPACK inside numpy's own OpenBLAS
@@ -76,6 +78,9 @@ _SIGNATURES = {
     "dlarfgp": ((_INT, _F64, _F64, _INT, _F64), None),  # N, ALPHA, X, INCX, TAU
     # SIDE, M, N, V, INCV, TAU, C, LDC, WORK
     "dlarf": ((_CHAR, _INT, _INT, _F64, _INT, _F64, _F64, _INT, _F64), None),
+    "dlacpy": ((_CHAR, _INT, _INT, _F64, _INT, _F64, _INT), None),  # UPLO, M, N, A, LDA, B, LDB
+    # UPLO, M, N, ALPHA, BETA, A, LDA
+    "dlaset": ((_CHAR, _INT, _INT, _F64, _F64, _F64, _INT), None),
 }
 try:
     _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -159,6 +164,16 @@ def finite_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def int_param(x, name: str) -> int:
+    """``x`` as an int; anything else, a bool included, is a ``ValueError`` naming ``name``.
+
+    numpy integers are accepted.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+    return int(x)
+
+
 def finite_result(x, stage: str):
     """``x`` itself; a non-finite entry is an overflow during ``stage``.
 
@@ -202,8 +217,8 @@ def _lapack(name: str, *args) -> int:
     """Call the LAPACK routine ``name`` with ``args``, then the tail of ``_SIGNATURES``.
 
     Ints pass by reference as int64 (ILP64), CHARACTER arguments as
-    one-byte ``bytes``, a scalar double (``dlarfgp``'s ALPHA and TAU) as an
-    array that starts with it; arrays must be writeable and
+    one-byte ``bytes``, a scalar double (of ``dlarfgp`` or ``dlaset``) as
+    an array that starts with it; arrays must be writeable and
     Fortran-contiguous, with the dtype of ``_SIGNATURES``.  A workspace
     query picks the optimal LWORK, so blocked code runs.  A negative INFO
     (an illegal argument) raises ``numpy.linalg.LinAlgError``; INFO is
@@ -362,34 +377,15 @@ def _fortran_copy(a, rows=None) -> np.ndarray:
     return f
 
 
-def _zero_triangle(x, upper: bool):
-    """Zero the strict upper (or lower) triangle of the Fortran-order ``x`` in place.
-
-    128 columns at a time: off the diagonal a block is one plain fill, and
-    only a 128 x 128 mask is made, not one of ``x``'s size (the R cut of
-    a 2048^2 factor, copy included: 31 against 8.3 ms, medians of 7).
-    """
-    k, n = x.shape
-    tri = np.tri(128, 128, -1, dtype=bool)
-    if upper:
-        tri = tri.T
-    for c0 in range(0, n, 128):
-        c1 = min(c0 + 128, n)
-        rows = max(0, min(c1, k) - c0)  # the diagonal block's
-        if upper:
-            x[:c0, c0:c1] = 0.0
-        else:
-            x[c0 + rows:, c0:c1] = 0.0
-        np.copyto(x[c0:c0 + rows, c0:c1], 0.0, where=tri[:rows, :c1 - c0])
-
-
 def _normalized_r(f, k):
     """``(r, d)``: the first k rows of LAPACK's compact QR in ``f``, as R with diag(r) >= 0.
 
-    ``r = diag(d) R`` for the +-1 signs ``d``; the multiply is exact and leaves -0.0 alone.
+    One LAPACK ``dlacpy`` copies R's upper trapezoid out of the Fortran-order
+    ``f`` into zeros, so no mask is made.  ``r = diag(d) R`` for the +-1
+    signs ``d``; the multiply is exact and leaves -0.0 alone.
     """
-    r = f[:k].copy(order="F")
-    _zero_triangle(r, upper=False)
+    r = np.zeros((k, f.shape[1]), order="F")
+    _lapack("dlacpy", b"U", k, f.shape[1], f, max(1, f.shape[0]), r, max(1, k))
     d = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     r *= d[:, None]
     return r, d
@@ -443,8 +439,8 @@ def lu_basis(y) -> LuBasis:
     ``info > 0``) is a rank-deficient ``y``, not an error: its column of L
     is zero below the diagonal and its entry of ``|diag U|`` is 0.
 
-    L D is formed in place on one Fortran-order copy of ``y`` and LAPACK
-    ``dlaswp`` applies P to it there, so the only copy is that of ``y``.
+    L D is formed in place on one copy of ``y`` (LAPACK ``dlaset`` writes L's
+    unit diagonal over U) and ``dlaswp`` applies P there: the only copy is ``y``'s.
 
     Parameters
     ----------
@@ -467,9 +463,8 @@ def lu_basis(y) -> LuBasis:
     ipiv = np.empty(n, dtype=np.int64)
     _lapack("dgetrf", m, n, f, max(1, m), ipiv)
     udiag = np.diagonal(f).copy()
-    # overwrite U with the unit diagonal of L, then scale column j by D_j
-    _zero_triangle(f[:n], upper=True)
-    np.fill_diagonal(f, 1.0)
+    # one dlaset overwrites U with the unit diagonal of L; then column j is scaled by D_j
+    _lapack("dlaset", b"U", n, n, np.zeros(1), np.ones(1), f, max(1, m))
     f *= np.where(udiag < 0.0, -1.0, 1.0)
     # dgetrf swapped rows i and ipiv[i] of y for i = 1..n in turn, so
     # P L D undoes those swaps in reverse order (INCX = -1)

@@ -38,11 +38,11 @@ instead.  ``smin_r11`` stays on the SVDs of the leading blocks.
 ``error_profile`` measures ``a * 2**-max_exponent(a)`` and scales the
 norms back: exact, and free of overflow and underflow.
 
-Every SVD here is a ``core.svdvals``, ``core.singular_values`` or
-``core.spectral_norm`` call and every eigenvalue a ``core.eigvalsh`` call.
-Each public function checks every array it reads (``a``, the factors, a
-cached ``sigma_ref`` or ``smax_r22``) once, before any arithmetic, with a
-``ValueError`` that names the array; the private passes check nothing.
+Every SVD here is a ``core.svdvals`` call and every eigenvalue a
+``core.eigvalsh`` call.  Each public function checks every array it reads
+(``a``, the factors, a basis ``u``, a cached ``sigma_ref`` or
+``smax_r22``) and every integer parameter once, before any arithmetic,
+with a ``ValueError`` that names it; the private passes check nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import eigvalsh, finite_array, max_exponent, spectral_norm, svdvals, validated_matrix
+from .core import eigvalsh, finite_array, int_param, max_exponent, svdvals, validated_matrix
 from .factorizations import RsvdFactorization, UrvFactorization, power_urv, rsvd
 
 CSV_HEADER = "k,abs_sp,abs_fro,rel_sp,rel_fro,sigma_ref,smin_r11,smax_r22"
@@ -147,6 +147,12 @@ def _trailing_spectral_norms(r) -> np.ndarray:
     return np.ldexp(norms, scale)
 
 
+def _spectral(x) -> float:
+    """||x||_2 of a finite array the caller has checked (0.0 for an empty one)."""
+    s = svdvals(x)
+    return float(s[0]) if s.size else 0.0
+
+
 def _frobenius(x) -> float:
     """||x||_F; below ``sqrt(GRAM_FLOOR)`` retaken of x scaled by ``2**-max_exponent(x)``."""
     fro = float(np.linalg.norm(x))
@@ -167,7 +173,7 @@ def _low_rank_errors(a, u, rows, sp):
     fro = np.empty(kmax + 1)
     for k in range(kmax + 1):
         if np.isnan(sp[k]):
-            sp[k] = spectral_norm(resid)
+            sp[k] = _spectral(resid)
         fro[k] = _frobenius(resid)
         if k < kmax:
             resid -= np.outer(u[:, k], rows[k, :])
@@ -286,22 +292,38 @@ def reveal_profile(f) -> RevealProfile:
     return RevealProfile(smin, _trailing_spectral_norms(r))
 
 
-def projection_error(a, u, k: int) -> float:
-    """Spectral norm of ``a - u[:, :k] @ u[:, :k].T @ a``."""
-    a = validated_matrix(a)
-    u = finite_array(u, "u")
+def _check_basis(a, u, k: int, name: str):
+    """Refuse a ``u`` that is not m x l for the m x n ``a``, or a ``k`` outside [0, l]."""
+    if u.ndim != 2 or u.shape[0] != a.shape[0]:
+        raise ValueError(f"u must be 2-dimensional with the {a.shape[0]} rows of a, "
+                         f"got shape {u.shape}")
     if not 0 <= k <= u.shape[1]:
-        raise ValueError(f"k must be in [0, {u.shape[1]}], got {k}")
+        raise ValueError(f"{name} must be in [0, {u.shape[1]}], got {k}")
+
+
+def _projection_error(a, u, k: int) -> float:
+    """``projection_error`` of arrays its caller has checked."""
     uk = u[:, :k]
-    resid = a - uk @ (uk.T @ a)
-    return spectral_norm(resid)
+    return _spectral(a - uk @ (uk.T @ a))
+
+
+def projection_error(a, u, k: int) -> float:
+    """Spectral norm of ``a - u[:, :k] @ u[:, :k].T @ a``.
+
+    A non-finite entry of ``a`` or ``u``, a ``u`` that is not 2-d with the
+    rows of ``a``, and a ``k`` that is not an int in [0, u.shape[1]] are a
+    ``ValueError`` naming it.
+    """
+    a, u, k = validated_matrix(a), finite_array(u, "u"), int_param(k, "k")
+    _check_basis(a, u, k, "k")
+    return _projection_error(a, u, k)
 
 
 def projection_error_curve(a, u, kmax: int) -> np.ndarray:
-    """``projection_error(a, u, k)`` for every k = 0..kmax."""
-    if not 0 <= kmax <= u.shape[1]:
-        raise ValueError(f"kmax must be in [0, {u.shape[1]}], got {kmax}")
-    return np.array([projection_error(a, u, k) for k in range(kmax + 1)])
+    """``projection_error(a, u, k)`` for every k = 0..kmax, with its checks made once."""
+    a, u, kmax = validated_matrix(a), finite_array(u, "u"), int_param(kmax, "kmax")
+    _check_basis(a, u, kmax, "kmax")
+    return np.array([_projection_error(a, u, k) for k in range(kmax + 1)])
 
 
 def lemma_check(a, ell: int, q: int = 1, seed=0, reorth: bool = True) -> float:
@@ -318,6 +340,8 @@ def lemma_check(a, ell: int, q: int = 1, seed=0, reorth: bool = True) -> float:
     ``2**-max_exponent(a)``, so they neither overflow nor underflow.
     """
     a = validated_matrix(a)
+    # checked here too, so that a bad ell is refused before power_urv runs
+    ell, q = int_param(ell, "ell"), int_param(q, "q")
     purv = power_urv(a, q=q, reorth=reorth, seed=seed)
     rs = rsvd(a, ell, q=q, reorth=reorth, seed=seed)
     up = purv.u[:, :ell]
@@ -328,7 +352,6 @@ def lemma_check(a, ell: int, q: int = 1, seed=0, reorth: bool = True) -> float:
 
 
 def _flop_terms(algorithm: str, m: int, n: int, q: int):
-    m, n, q = int(m), int(n), int(q)
     m2n, mn2, n3 = m * m * n, m * n * n, n**3
     if algorithm in ("powerurv", "ddh"):
         return {
@@ -354,6 +377,7 @@ def flop_estimate(algorithm: str, m: int, n: int, q: int = 0) -> FlopModel:
 
     Tags: ``powerurv``, ``ddh``, ``qlp``, ``randutv``, ``golub_reinsch``.
     """
+    m, n, q = int_param(m, "m"), int_param(n, "n"), int_param(q, "q")
     if not (m >= n >= 1):
         raise ValueError(f"need m >= n >= 1, got m={m} n={n}")
     if q < 0:

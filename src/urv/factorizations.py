@@ -36,6 +36,7 @@ from .core import (
     finite_array,
     finite_result,
     householder_qr,
+    int_param,
     lu_basis,
     max_exponent,
     pivoted_qr,
@@ -193,6 +194,7 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     m, n = a.shape
     if m < n:
         raise ValueError(f"power_urv requires rows >= cols, got {m}x{n}")
+    q = int_param(q, "q")
     if q < 0:
         raise ValueError("q must be nonnegative")
     if n == 0:  # no column to sample: the empty factors, as qlp returns them
@@ -264,6 +266,7 @@ def rsvd(a, ell: int, q: int = 1, reorth: bool = True, seed=0) -> RsvdFactorizat
     """
     a = validated_matrix(a)
     m, n = a.shape
+    ell, q = int_param(ell, "ell"), int_param(q, "q")
     if not 1 <= ell < min(m, n):
         raise ValueError(f"ell must satisfy 1 <= ell < min(m, n) = {min(m, n)}, got {ell}")
     if q < 0:
@@ -289,6 +292,7 @@ def truncate(f: UrvFactorization, k: int):
     """
     u, r, v = (finite_array(getattr(f, name), f"f.{name}") for name in ("u", "r", "v"))
     n = r.shape[0]
+    k = int_param(k, "k")
     if not 0 <= k <= n:
         raise ValueError(f"truncation rank must be in [0, {n}], got {k}")
     return u[:, :k], r[:k, :] @ v.T

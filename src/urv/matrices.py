@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import householder_qr
+from .core import householder_qr, int_param
 from .random import RngSeed, as_seed, gaussian_matrix
 
 DEFAULT_M = 200
@@ -146,6 +146,7 @@ def gen_bie(n_points: int = DEFAULT_BIE_N) -> np.ndarray:
     -kappa(t) |x'(t)| / (4 pi) with kappa the signed curvature.
     Deterministic, no randomness.
     """
+    n_points = int_param(n_points, "n_points")
     if n_points < 50 or n_points % 2:
         raise ValueError("n_points must be even and >= 50")
     n = n_points
@@ -186,6 +187,7 @@ def gen_kahan(n: int = DEFAULT_KAHAN_N, theta: float = DEFAULT_KAHAN_THETA) -> n
     norms are exactly 1, so greedy pivoting never permutes, yet the
     smallest singular value is far below the last diagonal entry.
     """
+    n = int_param(n, "n")
     if n < 2:
         raise ValueError("kahan matrix needs n >= 2")
     if not 0.0 < theta < np.pi / 2:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import householder_qr
+from .core import householder_qr, int_param
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,6 +55,7 @@ def gaussian_matrix(m: int, n: int, seed) -> np.ndarray:
     Deterministic per ``(seed, stream)``; entries are drawn in
     column-major order (see module docstring).
     """
+    m, n = int_param(m, "m"), int_param(n, "n")
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m}x{n}")
     gen = _generator(as_seed(seed))
@@ -68,4 +69,5 @@ def haar_orthogonal(n: int, seed) -> np.ndarray:
     the QR's nonnegative-diagonal normalization makes the distribution
     exactly Haar rather than merely approximately so.
     """
+    n = int_param(n, "n")
     return householder_qr(gaussian_matrix(n, n, seed)).q

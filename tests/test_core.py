@@ -234,7 +234,7 @@ class _PivotedQrContract:
         seen = []
         q_and_r = urv.core._q_and_r
         monkeypatch.setattr(urv.core, "_q_and_r",
-                            lambda f, tau: (seen.append(f.copy()), q_and_r(f, tau))[1])
+                            lambda f, tau: (seen.append(f.copy(order="F")), q_and_r(f, tau))[1])
         m, n = shape
         k = min(m, n)
         a = np.random.default_rng(5).standard_normal(shape)
@@ -281,6 +281,20 @@ class TestCpqr(_PivotedQrContract):
         res = urv.cpqr(a)
         assert np.abs(res.q.T @ res.q - np.eye(10)).max() <= 1e-14
         assert np.abs(res.q @ res.r - a[:, res.perm]).max() <= 1e-14 * np.abs(a).max()
+
+    @pytest.mark.parametrize("a", [urv.gen_kahan(96, 1.2),
+                                   urv.gaussian_matrix(300, 120, urv.RngSeed(2))],
+                             ids=["kahan", "gaussian"])
+    def test_norm_summation_order(self, a):
+        # cpqr's initial column norms are an einsum over its prescaled C-order
+        # copy, and the exact ties of Kahan's matrix (criterion 9) break by
+        # their summation order: pin it to the sequential row sum, so that a
+        # numpy release that reorders the sum fails here, by name
+        r = np.ldexp(a, -max_exponent(a), order="C")
+        acc = np.zeros(r.shape[1])
+        for row in r:
+            acc += row * row
+        assert np.array_equal(np.einsum("ij,ij->j", r, r), acc)
 
 
 class TestPivotedQr(_PivotedQrContract):
@@ -525,8 +539,9 @@ def _lapack_calls(routine):
 def test_one_call_per_binding(routine):
     # each bound LAPACK routine is called from one place in core.py (every
     # unpivoted QR is _compact_qr's one dgeqrt, cpqr's reflectors are one
-    # dlarfgp and one dlarf, ...), so an unused binding fails too; dgeqrf,
-    # whose panels are level 2, is not bound
+    # dlarfgp and one dlarf, every R is _normalized_r's one dlacpy, the LU's
+    # unit triangle one dlaset, ...), so an unused binding fails too;
+    # dgeqrf, whose panels are level 2, is not bound
     calls = _lapack_calls(routine)
     assert len(calls) == 1, f"_lapack({routine!r}, ...) at core.py lines {calls}"
     assert not _lapack_calls("dgeqrf") and "dgeqrf" not in _SIGNATURES
@@ -534,8 +549,8 @@ def test_one_call_per_binding(routine):
 
 @pytest.mark.parametrize("cut", ["_normalized_r", "lu_basis"])
 def test_triangle_cut_makes_no_full_mask(cut):
-    # the R cut and the LU's unit-lower cut are made in column blocks, so
-    # that no boolean mask of the factor's size (n^2 bytes) is allocated
+    # the R cut (one dlacpy into zeros) and the LU's unit-lower cut (one
+    # dlaset) make no boolean mask of the factor's size (n^2 bytes)
     n = 512
     f = np.asfortranarray(urv.gaussian_matrix(n, n, urv.RngSeed(3)))
     tracemalloc.start()
@@ -578,7 +593,9 @@ def test_linalg_guard_flags(source, expected):
     assert [use for _, use in _linalg_uses(ast.parse(source))] == expected
 
 
-_INPUT_CHECKS = {"validated_matrix", "finite_array"}
+# spectral_norm and singular_values check their argument with validated_matrix
+_INPUT_CHECKS = {"validated_matrix", "finite_array", "int_param", "singular_values",
+                 "spectral_norm"}
 
 
 def _input_check_calls(tree):

@@ -253,7 +253,7 @@ def _with_nan(f, name):
 
 
 class TestInputChecks:
-    """A public function refuses a non-finite array by name, before any arithmetic."""
+    """A public function refuses a bad array or integer parameter by name, before any arithmetic."""
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -317,6 +317,64 @@ class TestInputChecks:
             else:
                 with pytest.raises(ValueError, match="^u contains non-finite entries$"):
                     urv.projection_error(a, bad.u, 3)
+
+    # the parameter that each call must name, and the call on small's a and f
+    _NON_INT = {
+        "flop_estimate-m": ("m", lambda a, f: urv.flop_estimate("powerurv", 10.5, 5, 1)),
+        "flop_estimate-n": ("n", lambda a, f: urv.flop_estimate("powerurv", 10, True, 1)),
+        "flop_estimate-q": ("q", lambda a, f: urv.flop_estimate("powerurv", 10, 5, 1.5)),
+        "power_urv-q": ("q", lambda a, f: urv.power_urv(a, q=1.5)),
+        "power_urv-q-bool": ("q", lambda a, f: urv.power_urv(a, q=True)),
+        "rsvd-ell": ("ell", lambda a, f: urv.rsvd(a, 5.0)),
+        "rsvd-ell-bool": ("ell", lambda a, f: urv.rsvd(a, True)),
+        "rsvd-q": ("q", lambda a, f: urv.rsvd(a, 5, q=1.0)),
+        "lemma_check-ell": ("ell", lambda a, f: urv.lemma_check(a, 5.0)),
+        "lemma_check-q": ("q", lambda a, f: urv.lemma_check(a, 5, q=1.5)),
+        "gaussian_matrix-m": ("m", lambda a, f: urv.gaussian_matrix(3.0, 2, 0)),
+        "gaussian_matrix-n-bool": ("n", lambda a, f: urv.gaussian_matrix(3, True, 0)),
+        "haar_orthogonal-n": ("n", lambda a, f: urv.haar_orthogonal(3.0, 0)),
+        "gen_kahan-n": ("n", lambda a, f: urv.gen_kahan(8.0)),
+        "gen_bie-n_points": ("n_points", lambda a, f: urv.gen_bie(200.0)),
+        "truncate-k": ("k", lambda a, f: urv.truncate(f, 2.0)),
+        "truncate-k-bool": ("k", lambda a, f: urv.truncate(f, True)),
+        "projection_error-k": ("k", lambda a, f: urv.projection_error(a, f.u, 2.0)),
+        "projection_error_curve-kmax": ("kmax",
+                                        lambda a, f: urv.projection_error_curve(a, f.u, 2.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_NON_INT))
+    def test_non_int_parameter(self, small, case):
+        # refused by name before any arithmetic: not truncated, accepted as 1,
+        # or left to fail in range, the Gaussian draw or slicing
+        a, factors = small
+        name, call = self._NON_INT[case]
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            call(a, factors["powerurv"])
+
+    def test_numpy_int_parameter(self, small):
+        a, factors = small
+        f = urv.power_urv(a, q=np.int64(1), seed=0)
+        assert np.array_equal(f.u, factors["powerurv"].u) and type(f.provenance.q) is int
+        assert urv.flop_estimate("qlp", np.int32(30), np.int64(20)).total == \
+            urv.flop_estimate("qlp", 30, 20).total
+        assert urv.projection_error(a, f.u, np.int64(3)) == urv.projection_error(a, f.u, 3)
+
+    @pytest.mark.parametrize("call", [urv.projection_error, urv.projection_error_curve])
+    @pytest.mark.parametrize("u", [lambda u: u[:-1], lambda u: np.vstack([u, u[:1]]),
+                                   lambda u: u[:, 0]], ids=["fewer-rows", "more-rows", "1-d"])
+    def test_basis_shape(self, small, call, u):
+        # refused by name before any arithmetic, not inside matmul or indexing
+        a, factors = small
+        with pytest.raises(ValueError, match=r"^u must be 2-dimensional with the 30 rows of a, "
+                                             r"got shape \("):
+            call(a, u(factors["powerurv"].u), 1)
+
+    def test_curve_takes_a_list(self, small):
+        # u is array_like, as for projection_error
+        a, factors = small
+        u = factors["powerurv"].u.tolist()
+        assert np.array_equal(urv.projection_error_curve(a, u, 3),
+                              urv.projection_error_curve(a, np.array(u), 3))
 
 
 class TestLemmaCheck:
