@@ -61,7 +61,7 @@ from .matrices import (
 )
 from .random import RngSeed, as_seed, gaussian_matrix, haar_orthogonal
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "CSV_HEADER",

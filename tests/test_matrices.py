@@ -1,6 +1,9 @@
 """Benchmark matrix generators."""
 
 import ast
+import dataclasses
+import hashlib
+import json
 import warnings
 from pathlib import Path
 
@@ -155,10 +158,41 @@ class TestSpecRoundTrip:
         assert urv.MatrixSpec("slow", 4, 3, [7, 0]) == spec
         assert urv.MatrixSpec("slow", 4, 3, [7, 0]).seed == urv.RngSeed(7, 0)
 
+    def test_numpy_int_sizes(self):
+        # numpy integers are taken, as by every other entry, and stored as
+        # Python ints, so that a manifest of the spec still serializes
+        spec = urv.MatrixSpec("slow", np.int64(20), np.int32(10))
+        assert spec == urv.MatrixSpec("slow", 20, 10)
+        assert type(spec.m) is int and type(spec.n) is int
+        assert json.loads(json.dumps(dataclasses.asdict(spec)))["m"] == 20
+        assert urv.from_spec(spec)[0].shape == (20, 10)
+
     def test_haar_factors_independent_across_streams(self):
         a1, _ = urv.gen_slow_decay(40, 30, seed=urv.RngSeed(5, 0))
         a2, _ = urv.gen_slow_decay(40, 30, seed=urv.RngSeed(5, 1))
         assert not np.allclose(a1, a2)
+
+
+# SHA-256 of the default generators' matrices (200x160, seed 0) on one BLAS
+# thread, with numpy 2.4.6 and its OpenBLAS 0.3.31 (Haswell kernels)
+_GENERATOR_DIGESTS = {
+    "gen_fast_decay": "940ec520e02d28e1a62f165ee458244079cb1f47bf0963ce06ef4dddfc800447",
+    "gen_slow_decay": "fd578a5746408545e439d493221c329e69f099da0dd61f8b386435e4204989c4",
+    "gen_s_shaped": "6b740c671d0703fd743330875838e5c65e16c021b14be7df330726a8beff84bb",
+}
+
+
+@pytest.mark.parametrize("gen", sorted(_GENERATOR_DIGESTS))
+def test_generator_bits(gen):
+    # a tripwire on the generators' Haar draw (core._haar_q): the paper-size
+    # fixtures and the acceptance criteria are computed on these bits
+    with urv.core.blas_threads(1):
+        a, _ = getattr(urv, gen)()
+    digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+    assert digest == _GENERATOR_DIGESTS[gen], (
+        f"{gen}() moved: criterion 2's margin at its noise floor rides on these bits (the "
+        f"0.16.0 FOUND in CHANGES.md), so rerun the acceptance criteria before updating the "
+        f"digest; a BLAS or numpy upgrade also moves them")
 
 
 def _kind_literals(tree):
