@@ -7,8 +7,9 @@ paper's trade is that all of it lives in matrix-matrix multiplies and
 unpivoted QR, which run closer to peak than pivoted QR.  That holds
 against the level-2 hand-written ``urv.cpqr``, but QLP runs on LAPACK
 ``geqp3``, which does half its flops in BLAS-3: on 2 cores at n = 1024
-QLP is no slower than PowerURV with q = 1.  The timing sweep at the end
-shows the three QRs side by side; it is informational (hardware
+QLP (0.32 s) is slower than PowerURV with q = 1 (0.23 s) and faster than
+with q = 2 (0.36 s; ``urv timing``, version 0.21.0).  The timing sweep at
+the end shows the three QRs side by side; it is informational (hardware
 dependent) and kept small so the demo stays fast.
 """
 

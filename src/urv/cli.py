@@ -9,7 +9,8 @@ Three subcommands drive the library end to end:
     print the PowerURV/RSVD projector discrepancy for one configuration
 ``urv timing``
     median wall-clock times of the factorization kernels over a size
-    sweep (informational; never part of acceptance gating)
+    sweep, the algorithms interleaved rep by rep (informational; never
+    part of acceptance gating)
 
 Two tables drive the commands.  ``_ALGORITHMS`` maps each algorithm to the
 call made on the parsed flags and to the flags it reads, which decide what
@@ -308,14 +309,16 @@ def _run_timing(args) -> int:
     rows = []
     for m, n, label in sizes:
         a = gaussian_matrix(m, n, RngSeed(args.seed))
-        for alg in algs:
-            call = _ALGORITHMS[alg][0]
-            times = []
-            for _ in range(args.reps):
+        # rep by rep, one call of each algorithm in turn, so that a drift
+        # in the machine's load falls on every algorithm alike
+        times = {alg: [] for alg in algs}
+        for _ in range(args.reps):
+            for alg in algs:
                 t0 = time.perf_counter()
-                call(a, args)
-                times.append(time.perf_counter() - t0)
-            med = float(np.median(times))
+                _ALGORITHMS[alg][0](a, args)
+                times[alg].append(time.perf_counter() - t0)
+        for alg in algs:
+            med = float(np.median(times[alg]))
             rows.append((alg, label, med))
             print(f"{alg:10s} n={label:>6s} median {med:.4f}s over {args.reps} reps")
     with open(args.out, "w", newline="\n") as fh:

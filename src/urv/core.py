@@ -8,9 +8,10 @@ reflectors (``larfgp`` forms each, ``larf`` applies it).  Each cuts R with
 diag(R) >= 0 from LAPACK's compact form (``_normalized_r``, one ``lacpy``
 of its upper trapezoid) and then forms Q in place over its reflectors by
 one loop (``_form_q``), one ``gemqrt`` per panel of reflectors, blocked
-by its triangular T: ``geqrt``'s own T blocks for the unpivoted QR, and
-for the two pivoted ones (``_q_and_r``) a T that ``larft`` builds from
-tau.  ``orgqr`` forms only the Q of the generators' Haar draw
+by its triangular T: ``geqrt``'s own T blocks for the unpivoted QR, 96
+reflectors wide from 512 columns on and 32 below (``_qr_block``), and
+for the two pivoted ones (``_q_and_r``) a T of 32 that ``larft`` builds
+from tau.  ``orgqr`` forms only the Q of the generators' Haar draw
 (``_haar_q``), whose bits the benchmark matrices keep.  The Q of a
 ``geqrt`` QR is also applied to a matrix without forming it
 (``gemqrt``, the tall path of ``power_urv``).  Beside the QRs:
@@ -20,16 +21,17 @@ power steps), a dense SVD, singular values and spectral norms, and the
 eigenvalues of a symmetric matrix.
 These are the building blocks for every factorization in the package.
 All routines are pure functions of float64 arrays and never mutate
-their inputs.
+their inputs, but for ``householder_qr`` called with ``overwrite_a``.
 
 The LAPACK kernels return Fortran-order arrays, the layout LAPACK writes,
 and ``product`` writes ``x @ y`` in that order too, so a power iteration
 whose samples are formed by ``product`` makes no transposing copy: a
 kernel copies its Fortran-order input once, plainly, and returns that
-copy.  Any other input is copied to Fortran order 64 rows at a time
-(``_fortran_copy``).  The layout moves no value of a kernel:
-``householder_qr`` and ``lu_basis`` give bitwise the same factors for an
-input in any layout.
+copy; ``power_urv``'s QR of its fresh sample ``A V``, which nothing reads
+again, runs in place over it (``overwrite_a``).  Any other input is
+copied to Fortran order 64 rows at a time (``_fortran_copy``).  The
+layout moves no value of a kernel: ``householder_qr`` and ``lu_basis``
+give bitwise the same factors for an input in any layout.
 
 This module is the package's one seam to dense linear algebra: every SVD,
 QR, LU and eigenvalue call, and every product that is factored next, is a
@@ -130,10 +132,27 @@ for _name, _fn in _LAPACK.items():
 _GET_THREADS.argtypes, _GET_THREADS.restype = [], ctypes.c_int
 _SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
 
-# Block size of householder_qr's dgeqrt: 32 and 64 ran within noise of each
-# other at 1024^2, 2048^2 and 4096x512 (2 cores, OpenBLAS 0.3.31 Haswell),
-# where 16 was 10-16% slower
+# Block size NB of the unpivoted QR's dgeqrt (_qr_block), which sets the
+# width of its recursively factored panels and of the compact-WY updates
+# that _form_q and _apply_q reuse.  householder_qr alone, NB 32 -> 96 time
+# ratio on 1 / 2 threads, medians of interleaved rounds (2 cores, OpenBLAS
+# 0.3.31 Haswell): 0.83 / 0.89 at 2048^2, 0.89 / 0.89 at 1024^2, 0.92 /
+# 0.89 at 768^2, 0.96 / 0.93-0.98 at 512^2, 0.75 / 0.93 at 4096x512; but
+# 1.04 / 1.04 at 200x160, 0.99-1.01 / 0.93-0.96 at 256^2-384^2, 0.97 /
+# 1.06 at 8192x256, and 1.18 / 1.08 at 4096x64 (there NB = 64).  NB = 128
+# and 192 were within 2% of 96 at 2048^2, slower elsewhere (up to 1.66x
+# at 200x160), and 64 read 0.90-0.99.  So 96 from 512 columns on, and 32
+# below, where every paper-size factor keeps its bits.  The
+# generators' Haar draw (_haar_q) and the pivoted QRs' T panels
+# (_q_and_r) stay at 32 at every n, so their bits never move.
 _QR_BLOCK = 32
+_WIDE_QR_BLOCK = 96
+_WIDE_QR_FROM = 512
+
+
+def _qr_block(n: int) -> int:
+    """NB of ``dgeqrt`` for an n-column unpivoted QR: 96 from 512 columns on, else 32."""
+    return _WIDE_QR_BLOCK if n >= _WIDE_QR_FROM else _QR_BLOCK
 
 # Recompute a downdated column norm from scratch once it has shrunk below
 # this fraction of its reference value (guards catastrophic cancellation).
@@ -279,22 +298,28 @@ def product(x, y) -> np.ndarray:
     return np.matmul(y.T, x.T).T
 
 
-def householder_qr(a) -> QrResult:
+def householder_qr(a, overwrite_a: bool = False) -> QrResult:
     """Householder QR of a tall matrix, normalized to ``diag(r) >= 0``.
 
     LAPACK ``dgeqrt`` on one Fortran-order copy of ``a`` (``_compact_qr``),
-    then Q is formed in place over it (``_form_q``) from ``dgeqrt``'s own
-    T blocks, one ``dgemqrt`` per block.  ``dgeqrt`` factors each panel
-    of ``_QR_BLOCK`` columns recursively, in level-3 BLAS (Elmroth &
-    Gustavson 2000), where ``dgeqrf``'s panels are level 2.  The
-    normalization makes the result unique (``dgeqrt``'s diagonal signs
-    are arbitrary).  The generators' Haar draw takes its Q from
+    or on ``a`` itself with ``overwrite_a``, then Q is formed in place over
+    it (``_form_q``) from ``dgeqrt``'s own T blocks, one ``dgemqrt`` per
+    block.  ``dgeqrt`` factors each panel recursively, in level-3 BLAS
+    (Elmroth & Gustavson 2000), where ``dgeqrf``'s panels are level 2; a
+    panel is 96 columns wide from n = 512 on and 32 below (``_qr_block``).
+    The normalization makes the result unique (``dgeqrt``'s diagonal
+    signs are arbitrary).  The generators' Haar draw takes its Q from
     ``_haar_q`` instead, which agrees with this one to roundoff.
 
     Parameters
     ----------
     a : array_like, shape (m, n)
         Matrix to factor, m >= n, finite entries.
+    overwrite_a : bool
+        Whether ``a`` may be overwritten (scipy's convention): a
+        Fortran-contiguous, writeable float64 ``a`` is then factored in
+        place, skipping the input-sized copy, and ``q`` is ``a``'s buffer.
+        Any other ``a`` is copied as by default, which never writes ``a``.
 
     Returns
     -------
@@ -302,9 +327,9 @@ def householder_qr(a) -> QrResult:
         ``q`` (m, n) with orthonormal columns and upper-triangular
         ``r`` (n, n) with nonnegative diagonal such that ``q @ r == a``
         up to roundoff.  Both are Fortran-contiguous, as LAPACK writes
-        them, and bitwise the same for ``a`` in any layout.  They agree
-        with the sign-normalized ``numpy.linalg.qr`` factors (``dgeqrf``)
-        to roundoff, not bitwise.
+        them, and bitwise the same for ``a`` in any layout and with or
+        without ``overwrite_a``.  They agree with the sign-normalized
+        ``numpy.linalg.qr`` factors (``dgeqrf``) to roundoff, not bitwise.
 
     Raises
     ------
@@ -315,7 +340,7 @@ def householder_qr(a) -> QrResult:
     m, n = a.shape
     if m < n:
         raise ValueError(f"householder_qr requires rows >= cols, got {m}x{n}")
-    (f, tw, d), r = _compact_qr(a)
+    (f, tw, d), r = _compact_qr(a, overwrite_a=overwrite_a)
     _form_q(f, d, tw)
     return QrResult(f, finite_result(r, "R of householder_qr"))
 
@@ -327,13 +352,15 @@ def _haar_q(g) -> QrResult:
     ``random.haar_orthogonal``) keeps the bits it had before Q was formed
     by ``_form_q``: every paper-size fixture and acceptance criterion
     rides on them, and criterion 2 can fail at its noise floor when they
-    move at roundoff (the 0.16.0 FOUND in CHANGES.md).  ``dorgqr`` takes
-    tau from the diagonals of ``dgeqrt``'s T blocks, and Q gets the signs
-    ``d`` afterwards.  R is bitwise ``householder_qr``'s; Q agrees with
-    its Q to roundoff.
+    move at roundoff (the 0.16.0 FOUND in CHANGES.md).  So ``dgeqrt``
+    runs in blocks of ``_QR_BLOCK`` at every n, ``dorgqr`` takes tau from
+    the diagonals of its T blocks, and Q gets the signs ``d`` afterwards.
+    R is bitwise ``householder_qr``'s below ``_WIDE_QR_FROM`` columns,
+    where that QR uses the same block; from there on both R and Q agree
+    with its to roundoff.
     """
     m, n = g.shape
-    (f, tw, d), r = _compact_qr(g)
+    (f, tw, d), r = _compact_qr(g, _QR_BLOCK)
     # block j // nb of T is upper triangular with tau on its diagonal; tau
     # goes into the workspace half of tw, which dgeqrt no longer needs, so
     # that no small array is made after the input-sized f
@@ -354,21 +381,25 @@ class _CompactQ(NamedTuple):
     d: np.ndarray   # (n,), +-1: Q = (H_1 ... H_n)[:, :n] diag(d)
 
 
-def _compact_qr(a) -> tuple[_CompactQ, np.ndarray]:
+def _compact_qr(a, nb: int | None = None,
+                overwrite_a: bool = False) -> tuple[_CompactQ, np.ndarray]:
     """``(q, r)`` of the finite m x n ``a`` (m >= n), unchecked, with Q left compact.
 
-    ``dgeqrt`` on one Fortran-order copy of ``a``; r is normalized to
-    ``diag(r) >= 0`` and bitwise ``householder_qr``'s.  Q stays as its
-    reflectors and T blocks, for ``householder_qr`` and ``_haar_q``, which
-    form it, or for ``_apply_q``, which applies it without forming it.
+    ``dgeqrt`` in blocks of ``nb`` columns (``_qr_block(n)`` if None) on
+    one Fortran-order copy of ``a``, or with ``overwrite_a`` on ``a``
+    itself if it is writeable and Fortran-contiguous; r is normalized to
+    ``diag(r) >= 0`` and bitwise ``householder_qr``'s at the same block.
+    Q stays as its reflectors and T blocks (``tw``'s rows are the block),
+    for ``householder_qr`` and ``_haar_q``, which form it, or for
+    ``_apply_q``, which applies it without forming it.
     """
     m, n = a.shape
-    nb = max(1, min(_QR_BLOCK, n))
+    nb = max(1, min(_qr_block(n) if nb is None else nb, n))
     # T and dgeqrt's workspace side by side, allocated before the
     # input-sized copy: a small array made after it and kept through the
     # epilogue raised factor_large's peak RSS by 8 MB (glibc heap placement)
     tw = np.empty((nb, 2 * n), order="F")
-    f = _fortran_copy(a)
+    f = a if overwrite_a and a.flags.f_contiguous and a.flags.writeable else _fortran_copy(a)
     _lapack("dgeqrt", m, n, nb, f, max(1, m), tw[:, :n], nb, tw[:, n:])
     r, d = _normalized_r(f, n)
     return _CompactQ(f, tw, d), r
@@ -380,7 +411,8 @@ def _apply_q(q: _CompactQ, u) -> np.ndarray:
     One LAPACK ``dgemqrt`` applies the reflectors, blocked by their T, to
     ``[diag(d) u; 0]``: level 3 throughout, about 4mn^2 flops against
     6mn^2 for forming Q and multiplying, with nothing Q's size made.  Its
-    workspace is the free half of ``q.tw``.
+    blocks are those of the QR (``q.tw``'s rows: 96 from n = 512 on, 32
+    below), and its workspace is the free half of ``q.tw``.
     """
     f, tw, d = q
     m, n = f.shape
@@ -465,7 +497,8 @@ def _form_q(f, d, tw):
 
     k = ``d.size``; reflector j is column j of ``f`` below its diagonal,
     and ``tw`` (nb x 2k, Fortran order) holds their triangular T blocks,
-    one per panel of nb reflectors, then a free workspace of k * nb.  A
+    one per panel of nb reflectors (``_qr_block(k)`` for ``householder_qr``,
+    ``_QR_BLOCK`` for the pivoted QRs), then a free workspace of k * nb.  A
     backward loop over the panels is LAPACK's blocked ``dorgqr`` without
     its unblocked last 128 columns (Schreiber & Van Loan 1989; Joffrain
     et al. 2006): each panel's reflectors are copied to an m x nb scratch,

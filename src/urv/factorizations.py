@@ -99,9 +99,12 @@ def _orth(y, warnings: list[str], stage: str, lu: bool = False):
     power step, whose basis only feeds the next product; it costs a
     quarter of the QR's flops.  y is rescaled in place, since a copy
     raises peak memory: every caller passes a fresh product or the
-    Gaussian draw and never reads it again.  A numerically rank-deficient
-    sample is kept (with a recorded warning); a zero or non-finite one is
-    an error.
+    Gaussian draw and never reads it again.  Its QR still copies it:
+    factored in place here as well as in ``power_urv``'s QR of ``A V``,
+    it raised the peak RSS of the factor_large benchmark (1024^2) from
+    114.2 to 122.0 MB in 9 runs of 9 (glibc heap placement; either one
+    alone read 114.0-114.3 MB).  A numerically rank-deficient sample is
+    kept (with a recorded warning); a zero or non-finite one is an error.
     """
     y = _rescaled(y)
     # max|y| is now in [1/2, 1), so the norm is finite exactly when y is
@@ -207,8 +210,9 @@ def power_urv(a, q: int = 1, reorth: bool = True, seed=0) -> UrvFactorization:
     # non-finite R0 as an overflow of the sample
     q0, b = _compact_qr(a) if tall else (None, a)
     v = _sample_basis(b, gaussian_matrix(n, n, seed), 2 * q, reorth, warnings, "right-factor QR")
-    # householder_qr reports a non-finite R as an overflow
-    u, r = householder_qr(finite_result(product(b, v), "product A V"))
+    # householder_qr reports a non-finite R as an overflow; A V is a fresh
+    # product that nothing reads again, so it is factored in place
+    u, r = householder_qr(finite_result(product(b, v), "product A V"), overwrite_a=True)
     del b  # R0 is not read again: drop it before the lift, the call's peak
     if tall:
         u = _apply_q(q0, u)

@@ -513,6 +513,25 @@ def test_timing_tall_sizes(tmp_path, capsys):
         assert main(args + ["--sizes", bad, "--out", str(mixed)]) == 1
 
 
+def test_timing_interleaves_algorithms(tmp_path, monkeypatch, capsys):
+    # one call of each algorithm per rep, so that load drift lands on all
+    # of them alike; the CSV keeps its rows in algorithm order per size
+    calls = []
+    for name in ("householder_qr", "svd", "pivoted_qr"):
+        original = getattr(urv.cli, name)
+        monkeypatch.setattr(urv.cli, name,
+                            lambda a, name=name, original=original: (
+                                calls.append((name, a.shape)), original(a))[1])
+    out = tmp_path / "t.csv"
+    assert main(["timing", "--sizes", "16,24x8", "--reps", "3", "--algs", "qr,svd,geqp3",
+                 "--out", str(out)]) == 0
+    algs = ["householder_qr", "svd", "pivoted_qr"]
+    assert calls == ([(name, (16, 16)) for name in algs] * 3
+                     + [(name, (24, 8)) for name in algs] * 3)
+    rows = [r.split(",")[:2] for r in out.read_text().splitlines()[1:]]
+    assert rows == [[alg, n] for n in ("16", "24x8") for alg in ("qr", "svd", "geqp3")]
+
+
 def test_timing_rejects_zero_reps(tmp_path, capsys):
     out = tmp_path / "t.csv"
     for reps in ("0", "-1"):

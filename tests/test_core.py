@@ -9,11 +9,22 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import (EPS, _QR_BLOCK, _SIGNATURES, _haar_q, _lapack, _normalized_r, eigvalsh,
-                      lu_basis, max_exponent, pivoted_qr, product)
+from urv.core import (EPS, _QR_BLOCK, _SIGNATURES, _WIDE_QR_BLOCK, _WIDE_QR_FROM, _compact_qr,
+                      _haar_q, _lapack, _normalized_r, _qr_block, eigvalsh, lu_basis,
+                      max_exponent, pivoted_qr, product)
 from urv.factorizations import _orth
 
 from conftest import jacobi_eigenvalues
+
+# the first multiple of the wide dgeqrt block at or past the column count
+# where householder_qr switches to it: n = _WIDE_EDGE - 1, _WIDE_EDGE and
+# _WIDE_EDGE + 1 end on a panel one short of, exactly at and one past a
+# block edge of the wide block
+_WIDE_EDGE = -(-_WIDE_QR_FROM // _WIDE_QR_BLOCK) * _WIDE_QR_BLOCK
+# column counts at both blocks' edges and around the switch between them
+_BLOCK_EDGE_NS = (_QR_BLOCK - 1, _QR_BLOCK, _QR_BLOCK + 1,
+                  _WIDE_QR_FROM - 1, _WIDE_QR_FROM, _WIDE_QR_FROM + 1,
+                  _WIDE_EDGE - 1, _WIDE_EDGE, _WIDE_EDGE + 1)
 
 def _signed_numpy_qr(a):
     """numpy's LAPACK QR with the signs flipped to diag(r) >= 0."""
@@ -124,14 +135,19 @@ class TestHouseholderQr:
         (2 * _QR_BLOCK, _QR_BLOCK),                # n = nb
         (2 * _QR_BLOCK + 1, _QR_BLOCK + 1),        # one column past a block
         (3 * _QR_BLOCK + 4, 3 * _QR_BLOCK + 1),
+        *((n + 7, n) for n in _BLOCK_EDGE_NS[3:]),  # the switch, the wide block's edges
         (3, 0), (0, 0),
     ])
     def test_block_edges(self, shape):
         # Q is formed from dgeqrt's own T blocks, one dgemqrt per block of
-        # _QR_BLOCK reflectors; a wrong block or a partial last block
-        # applied as a whole one makes a Q that is not orthonormal
+        # _QR_BLOCK reflectors below _WIDE_QR_FROM columns and of
+        # _WIDE_QR_BLOCK from there on; a wrong block or a partial last
+        # block applied as a whole one makes a Q that is not orthonormal
         m, n = shape
         a = np.random.default_rng(5).standard_normal(shape)
+        nb = _QR_BLOCK if n < _WIDE_QR_FROM else _WIDE_QR_BLOCK
+        assert _qr_block(n) == nb
+        assert _compact_qr(a)[0].tw.shape == (max(1, min(nb, n)), 2 * n)
         res = urv.householder_qr(a)
         assert res.q.shape == (m, n) and res.r.shape == (n, n)
         bound = 10 * max(m, n, 1) * EPS
@@ -143,16 +159,50 @@ class TestHouseholderQr:
     @pytest.mark.parametrize("shape", [
         (4096, 512), (200, 160), (33, 1), (2 * _QR_BLOCK, _QR_BLOCK),
         (2 * _QR_BLOCK + 1, _QR_BLOCK + 1), (3 * _QR_BLOCK + 4, 3 * _QR_BLOCK + 1),
+        *((2 * n + 1, n) for n in _BLOCK_EDGE_NS[3:]),
     ])
     def test_haar_q_agrees(self, shape):
-        # the generators' Haar draw forms Q by dorgqr over the same compact
-        # QR: the same R bit for bit, and the same Q to roundoff
+        # the generators' Haar draw forms Q by dorgqr over the compact QR
+        # of _QR_BLOCK panels at every n, so that its bits stay put: R is
+        # bitwise that QR's, and so householder_qr's below _WIDE_QR_FROM
+        # columns; from there on householder_qr factors in wider panels,
+        # and the two agree to roundoff, R and Q alike.  R's change grows
+        # with the condition of g, so the wide shapes are tall (cond ~ 6):
+        # at m = n + 7 (cond ~ 200) it reads up to 4.7 eps max|R|
         m, n = shape
         g = urv.gaussian_matrix(m, n, urv.RngSeed(12))
         res, haar = urv.householder_qr(g), _haar_q(g)
-        assert np.array_equal(res.r, haar.r)
+        assert np.array_equal(haar.r, _compact_qr(g, _QR_BLOCK)[1])
+        if n < _WIDE_QR_FROM:
+            assert np.array_equal(res.r, haar.r)
+        else:
+            assert np.abs(res.r - haar.r).max() <= 4 * EPS * np.abs(haar.r).max()
         assert np.abs(res.q - haar.q).max() <= 10 * m * EPS
         assert haar.q.flags.f_contiguous
+
+    @pytest.mark.parametrize("n", [40, _WIDE_QR_FROM])
+    def test_overwrite_a(self, n):
+        # scipy's convention: a writeable Fortran-order float64 input is
+        # factored in place and Q is returned in its buffer, with the bits
+        # of the default call, which copies and never writes its input;
+        # any other input is copied, overwrite_a or not
+        a = urv.gaussian_matrix(n + 20, n, urv.RngSeed(3))
+        assert a.flags.f_contiguous and a.dtype == np.float64
+        before = a.copy(order="F")
+        ref = urv.householder_qr(a)
+        assert np.array_equal(a, before)
+        res = urv.householder_qr(a, overwrite_a=True)
+        assert np.shares_memory(res.q, a) and res.q.ctypes.data == a.ctypes.data
+        assert np.array_equal(res.q, ref.q) and np.array_equal(res.r, ref.r)
+        strided = np.asfortranarray(np.repeat(before, 2, axis=0))[::2]
+        for other in (np.ascontiguousarray(before), before.astype(np.float32), strided):
+            kept = other.copy(order="K")
+            res = urv.householder_qr(other, overwrite_a=True)
+            assert np.array_equal(other, kept) and not np.shares_memory(res.q, other)
+        frozen = before.copy(order="F")
+        frozen.flags.writeable = False
+        res = urv.householder_qr(frozen, overwrite_a=True)
+        assert np.array_equal(frozen, before) and np.array_equal(res.q, ref.q)
 
     def test_deterministic(self):
         a = urv.gaussian_matrix(60, 40, urv.RngSeed(3))
@@ -263,12 +313,14 @@ class _PivotedQrContract:
         (8, 1), (_QR_BLOCK + 6, _QR_BLOCK - 1), (_QR_BLOCK + 6, _QR_BLOCK),
         (_QR_BLOCK + 6, _QR_BLOCK + 1), (2 * _QR_BLOCK + 9, 2 * _QR_BLOCK + 3),  # n around nb
         (2 * _QR_BLOCK + 3, 2 * _QR_BLOCK + 3), (40, 200),  # m = n, wide
+        (_WIDE_QR_FROM + 6, _WIDE_QR_FROM - 1), (_WIDE_QR_FROM + 6, _WIDE_QR_FROM + 1),
         (0, 0), (4, 0), (0, 4),
     ])
     def test_block_edges(self, shape, monkeypatch):
-        # Q is formed in place, one panel of _QR_BLOCK reflectors at a time,
-        # after R is cut from the compact factor: R is bitwise the one cut
-        # from the factor as it stood before Q was formed
+        # Q is formed in place, one panel of _QR_BLOCK reflectors at a time
+        # at every n (householder_qr's wider block past _WIDE_QR_FROM
+        # columns is not theirs), after R is cut from the compact factor: R
+        # is bitwise the one cut from the factor as it stood before Q was formed
         seen = []
         q_and_r = urv.core._q_and_r
         monkeypatch.setattr(urv.core, "_q_and_r",

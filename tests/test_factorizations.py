@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import _QR_BLOCK, EPS
+from urv.core import _QR_BLOCK, _WIDE_QR_BLOCK, _WIDE_QR_FROM, EPS, product
 from urv.factorizations import _TALL_RATIO, _sample_basis
 
 from conftest import reconstruction_error
@@ -115,12 +115,17 @@ class TestPowerUrv:
             urv.power_urv(np.eye(3), q=-1, seed=0)
 
 
+# the first multiple of the wide dgeqrt block at or past the switch to it
+_WIDE_EDGE = -(-_WIDE_QR_FROM // _WIDE_QR_BLOCK) * _WIDE_QR_BLOCK
+
+
 def _direct_power_urv(a, q, reorth, seed):
     """power_urv's body run on ``a`` itself, never on its R factor."""
     warnings = []
     g = urv.gaussian_matrix(a.shape[1], a.shape[1], urv.as_seed(seed))
     v = _sample_basis(a, g, 2 * q, reorth, warnings, "right-factor QR")
-    u, r = urv.householder_qr(a @ v)
+    # product, as power_urv forms A V: a @ v sums in another order
+    u, r = urv.householder_qr(product(a, v))
     return u, r, v, tuple(warnings)
 
 
@@ -131,9 +136,9 @@ def test_qr_count(monkeypatch, q, reorth):
     calls = []
 
     def counted(kernel):
-        def call(y):
+        def call(y, **kwargs):
             calls.append(kernel)
-            return getattr(urv.core, kernel)(y)
+            return getattr(urv.core, kernel)(y, **kwargs)
         return call
 
     for kernel in ("householder_qr", "_compact_qr", "lu_basis"):
@@ -199,6 +204,29 @@ def test_empty_input(factor, shape):
         assert np.array_equal(col, [0.0])
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(60, 40), (_TALL_RATIO * 20, 20)], ids=["direct", "tall"])
+@pytest.mark.parametrize("factor", [
+    lambda a: urv.householder_qr(a),
+    lambda a: urv.ddh_urv(a, seed=2),
+    lambda a: urv.power_urv(a, q=0, seed=2),
+    lambda a: urv.power_urv(a, q=1, seed=2),
+    lambda a: urv.power_urv(a, q=2, seed=2),
+    lambda a: urv.power_urv(a, q=2, reorth=False, seed=2),
+    lambda a: urv.rsvd(a, 5, q=1, seed=2),
+    urv.qlp,
+    lambda a: urv.lemma_check(a, 5, q=1, seed=2),
+], ids=["qr", "ddh", "0", "1", "2", "2-noreorth", "rsvd", "qlp", "lemma"])
+def test_input_untouched(factor, shape, order):
+    # the QRs of fresh samples run in place over them, never over the
+    # caller's matrix, in either layout, on the direct or the tall path
+    a = np.array(urv.gen_slow_decay(*shape, seed=1)[0], order=order)
+    before = a.copy(order="K")
+    factor(a)
+    assert a.tobytes(order="A") == before.tobytes(order="A") and a.flags.writeable
+    assert (a.flags.c_contiguous, a.flags.f_contiguous) == (order == "C", order == "F")
+
+
 class TestPowerUrvTallPath:
     N = 20
 
@@ -231,6 +259,10 @@ class TestPowerUrvTallPath:
         (3 * _QR_BLOCK, _QR_BLOCK),          # n = nb
         (3 * _QR_BLOCK + 3, _QR_BLOCK + 1),  # n = nb + 1
         (_TALL_RATIO * 40, 40),              # m at the switch
+        # around the switch to the wide dgeqrt block, and at the wide
+        # block's edges: a last panel one short, full and one column over
+        *((2 * n + 1, n) for n in (_WIDE_QR_FROM - 1, _WIDE_QR_FROM, _WIDE_QR_FROM + 1)),
+        *((2 * n + 1, n) for n in (_WIDE_EDGE - 1, _WIDE_EDGE, _WIDE_EDGE + 1)),
     ])
     @pytest.mark.parametrize("q,reorth", [(1, True), (2, True), (1, False), (2, False)])
     def test_is_direct_path_on_r0(self, shape, q, reorth):
