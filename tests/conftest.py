@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 import urv
+from urv.core import _WIDE_QR_BLOCK, _WIDE_QR_FROM
+
+# the first multiple of householder_qr's wide dgeqrt block at or past the
+# column count where it switches to it: n = WIDE_EDGE - 1, WIDE_EDGE and
+# WIDE_EDGE + 1 end on a panel one short of, exactly at and one past a
+# block edge of the wide block
+WIDE_EDGE = -(-_WIDE_QR_FROM // _WIDE_QR_BLOCK) * _WIDE_QR_BLOCK
 
 
 def jacobi_eigenvalues(s, max_sweeps=30):

@@ -14,17 +14,11 @@ from urv.core import (EPS, _QR_BLOCK, _SIGNATURES, _WIDE_QR_BLOCK, _WIDE_QR_FROM
                       max_exponent, pivoted_qr, product)
 from urv.factorizations import _orth
 
-from conftest import jacobi_eigenvalues
+from conftest import WIDE_EDGE, jacobi_eigenvalues
 
-# the first multiple of the wide dgeqrt block at or past the column count
-# where householder_qr switches to it: n = _WIDE_EDGE - 1, _WIDE_EDGE and
-# _WIDE_EDGE + 1 end on a panel one short of, exactly at and one past a
-# block edge of the wide block
-_WIDE_EDGE = -(-_WIDE_QR_FROM // _WIDE_QR_BLOCK) * _WIDE_QR_BLOCK
-# column counts at both blocks' edges and around the switch between them
-_BLOCK_EDGE_NS = (_QR_BLOCK - 1, _QR_BLOCK, _QR_BLOCK + 1,
-                  _WIDE_QR_FROM - 1, _WIDE_QR_FROM, _WIDE_QR_FROM + 1,
-                  _WIDE_EDGE - 1, _WIDE_EDGE, _WIDE_EDGE + 1)
+# column counts around the switch to the wide dgeqrt block and at its edges
+_WIDE_NS = (_WIDE_QR_FROM - 1, _WIDE_QR_FROM, _WIDE_QR_FROM + 1,
+            WIDE_EDGE - 1, WIDE_EDGE, WIDE_EDGE + 1)
 
 def _signed_numpy_qr(a):
     """numpy's LAPACK QR with the signs flipped to diag(r) >= 0."""
@@ -135,7 +129,7 @@ class TestHouseholderQr:
         (2 * _QR_BLOCK, _QR_BLOCK),                # n = nb
         (2 * _QR_BLOCK + 1, _QR_BLOCK + 1),        # one column past a block
         (3 * _QR_BLOCK + 4, 3 * _QR_BLOCK + 1),
-        *((n + 7, n) for n in _BLOCK_EDGE_NS[3:]),  # the switch, the wide block's edges
+        *((n + 7, n) for n in _WIDE_NS),  # the switch, the wide block's edges
         (3, 0), (0, 0),
     ])
     def test_block_edges(self, shape):
@@ -159,7 +153,7 @@ class TestHouseholderQr:
     @pytest.mark.parametrize("shape", [
         (4096, 512), (200, 160), (33, 1), (2 * _QR_BLOCK, _QR_BLOCK),
         (2 * _QR_BLOCK + 1, _QR_BLOCK + 1), (3 * _QR_BLOCK + 4, 3 * _QR_BLOCK + 1),
-        *((2 * n + 1, n) for n in _BLOCK_EDGE_NS[3:]),
+        *((2 * n + 1, n) for n in _WIDE_NS),
     ])
     def test_haar_q_agrees(self, shape):
         # the generators' Haar draw forms Q by dorgqr over the compact QR
@@ -192,7 +186,7 @@ class TestHouseholderQr:
         ref = urv.householder_qr(a)
         assert np.array_equal(a, before)
         res = urv.householder_qr(a, overwrite_a=True)
-        assert np.shares_memory(res.q, a) and res.q.ctypes.data == a.ctypes.data
+        assert res.q.ctypes.data == a.ctypes.data
         assert np.array_equal(res.q, ref.q) and np.array_equal(res.r, ref.r)
         strided = np.asfortranarray(np.repeat(before, 2, axis=0))[::2]
         for other in (np.ascontiguousarray(before), before.astype(np.float32), strided):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import urv
-from urv.core import _QR_BLOCK, _WIDE_QR_BLOCK, _WIDE_QR_FROM, EPS, product
+from urv.core import _QR_BLOCK, _WIDE_QR_FROM, EPS, product
 from urv.factorizations import _TALL_RATIO, _sample_basis
 
-from conftest import reconstruction_error
+from conftest import WIDE_EDGE, reconstruction_error
 
 
 def _rank_r_matrix(m, n, r, seed):
@@ -113,10 +113,6 @@ class TestPowerUrv:
     def test_rejects_negative_q(self):
         with pytest.raises(ValueError):
             urv.power_urv(np.eye(3), q=-1, seed=0)
-
-
-# the first multiple of the wide dgeqrt block at or past the switch to it
-_WIDE_EDGE = -(-_WIDE_QR_FROM // _WIDE_QR_BLOCK) * _WIDE_QR_BLOCK
 
 
 def _direct_power_urv(a, q, reorth, seed):
@@ -262,7 +258,7 @@ class TestPowerUrvTallPath:
         # around the switch to the wide dgeqrt block, and at the wide
         # block's edges: a last panel one short, full and one column over
         *((2 * n + 1, n) for n in (_WIDE_QR_FROM - 1, _WIDE_QR_FROM, _WIDE_QR_FROM + 1)),
-        *((2 * n + 1, n) for n in (_WIDE_EDGE - 1, _WIDE_EDGE, _WIDE_EDGE + 1)),
+        *((2 * n + 1, n) for n in (WIDE_EDGE - 1, WIDE_EDGE, WIDE_EDGE + 1)),
     ])
     @pytest.mark.parametrize("q,reorth", [(1, True), (2, True), (1, False), (2, False)])
     def test_is_direct_path_on_r0(self, shape, q, reorth):
