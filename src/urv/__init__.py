@@ -61,7 +61,7 @@ from .matrices import (
 )
 from .random import RngSeed, as_seed, gaussian_matrix, haar_orthogonal
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 __all__ = [
     "CSV_HEADER",

@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--sizes", default="256,512",
                    help="comma-separated n (square) or MxN (tall) values")
     t.add_argument("--reps", type=int, default=3)
-    t.add_argument("--algs", default="qr,cpqr",
+    t.add_argument("--algs", default="powerurv,qlp,geqp3,svd",
                    help=f"comma-separated from {','.join(_TIMING_ALGS)}")
     t.add_argument("--q", type=int, default=1)
     t.add_argument("--seed", type=int, default=0)
@@ -291,11 +291,9 @@ def _parse_size(entry: str):
         dims = [int(d) for d in entry.split("x")]
     except ValueError as exc:
         raise UsageError(f"bad --sizes: {exc}") from exc
-    if len(dims) == 1:
-        return dims[0], dims[0], str(dims[0])
-    if len(dims) != 2 or not dims[0] >= dims[1] >= 1:
+    if len(dims) > 2 or not dims[0] >= dims[-1] >= 1:
         raise UsageError(f"bad --sizes entry {entry!r}: expected n or MxN with M >= N >= 1")
-    return dims[0], dims[1], f"{dims[0]}x{dims[1]}"
+    return dims[0], dims[-1], "x".join(map(str, dims))
 
 
 def _run_timing(args) -> int:

@@ -471,34 +471,27 @@ def _q_and_r(f, tau):
     """Fortran-order ``(q, r)``, ``diag(r) >= 0``, of LAPACK's compact QR in ``f``, Q formed in place.
 
     For the pivoted QRs, whose LAPACK routines leave tau but no T.  R is
-    cut from ``f`` first.  Then one ``dlarft`` per panel of ``_QR_BLOCK``
-    reflectors, read straight from ``f``, builds the T blocks that
-    ``dgeqrt`` would have left, and ``_form_q`` forms
-    ``Q = (H_1 ... H_k)[:, :k] diag(d)``, k = ``tau.size``, over them.  On
-    a wide ``f`` Q is a compact copy of its first k columns.
+    cut from ``f`` first.  Then ``_form_q`` forms
+    ``Q = (H_1 ... H_k)[:, :k] diag(d)``, k = ``tau.size``, in panels of
+    ``_QR_BLOCK`` reflectors, building each panel's T from tau as it goes.
+    On a wide ``f`` Q is a compact copy of its first k columns.
     """
-    m, n = f.shape
-    k = tau.size
+    n, k = f.shape[1], tau.size
     r, d = _normalized_r(f, k)
     nb = max(1, min(_QR_BLOCK, k))
-    tw = np.empty((nb, 2 * k), order="F")  # the T blocks, then _form_q's workspace
-    # the panels go to LAPACK as 1-d views of f from their first entry, LDV = m
-    flat = np.reshape(f, -1, order="F", copy=False)
-    for j0 in range(0, k, nb):
-        j1 = min(j0 + nb, k)
-        _lapack("dlarft", b"F", b"C", m - j0, j1 - j0, flat[j0 + j0 * m:], max(1, m),
-                tau[j0:j1], tw[:, j0:j1], nb)
-    _form_q(f, d, tw)
+    _form_q(f, d, np.empty((nb, 2 * k), order="F"), tau)
     return (f if k == n else f[:, :k].copy(order="F")), r
 
 
-def _form_q(f, d, tw):
+def _form_q(f, d, tw, tau=None):
     """Form ``Q = (H_1 ... H_k)[:, :k] diag(d)`` in place over the compact QR in ``f``.
 
     k = ``d.size``; reflector j is column j of ``f`` below its diagonal,
     and ``tw`` (nb x 2k, Fortran order) holds their triangular T blocks,
     one per panel of nb reflectors (``_qr_block(k)`` for ``householder_qr``,
-    ``_QR_BLOCK`` for the pivoted QRs), then a free workspace of k * nb.  A
+    ``_QR_BLOCK`` for the pivoted QRs), then a free workspace of k * nb.
+    Given ``tau`` (the pivoted QRs, whose LAPACK routines leave no T), one
+    ``dlarft`` builds each panel's T block there just before it is applied.  A
     backward loop over the panels is LAPACK's blocked ``dorgqr`` without
     its unblocked last 128 columns (Schreiber & Van Loan 1989; Joffrain
     et al. 2006): each panel's reflectors are copied to an m x nb scratch,
@@ -514,6 +507,8 @@ def _form_q(f, d, tw):
     for j0 in range((k - 1) // nb * nb, -1, -nb):
         j1 = min(j0 + nb, k)
         v[:m - j0, :j1 - j0] = f[j0:, j0:j1]
+        if tau is not None:
+            _lapack("dlarft", b"F", b"C", m - j0, j1 - j0, v, m, tau[j0:j1], tw[:, j0:j1], nb)
         f[j0:j1, j1:k] = 0.0  # R above the columns already formed
         f[j0:, j0:j1] = 0.0
         c = flat[j0 + j0 * m:]
@@ -722,5 +717,10 @@ def eigvalsh(a) -> np.ndarray:
 
 def spectral_norm(a) -> float:
     """Largest singular value of ``a`` (0.0 for an empty matrix)."""
-    s = singular_values(a)
+    return _spectral(validated_matrix(a))
+
+
+def _spectral(x) -> float:
+    """``spectral_norm`` of a finite 2-d float64 array, without checking it."""
+    s = svdvals(x)
     return float(s[0]) if s.size else 0.0

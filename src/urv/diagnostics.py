@@ -52,7 +52,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import eigvalsh, finite_array, int_param, max_exponent, svdvals, validated_matrix
+from .core import (_spectral, eigvalsh, finite_array, int_param, max_exponent, svdvals,
+                   validated_matrix)
 from .factorizations import RsvdFactorization, UrvFactorization, power_urv, rsvd
 
 CSV_HEADER = "k,abs_sp,abs_fro,rel_sp,rel_fro,sigma_ref,smin_r11,smax_r22"
@@ -145,12 +146,6 @@ def _trailing_spectral_norms(r) -> np.ndarray:
     for k in np.flatnonzero(np.isnan(norms)):
         norms[k] = svdvals(r[k:, k:])[0]
     return np.ldexp(norms, scale)
-
-
-def _spectral(x) -> float:
-    """||x||_2 of a finite array the caller has checked (0.0 for an empty one)."""
-    s = svdvals(x)
-    return float(s[0]) if s.size else 0.0
 
 
 def _frobenius(x) -> float:
@@ -340,10 +335,8 @@ def lemma_check(a, ell: int, q: int = 1, seed=0, reorth: bool = True) -> float:
     ``2**-max_exponent(a)``, so they neither overflow nor underflow.
     """
     a = validated_matrix(a)
-    # checked here too, so that a bad ell is refused before power_urv runs
-    ell, q = int_param(ell, "ell"), int_param(q, "q")
-    purv = power_urv(a, q=q, reorth=reorth, seed=seed)
     rs = rsvd(a, ell, q=q, reorth=reorth, seed=seed)
+    purv = power_urv(a, q=q, reorth=reorth, seed=seed)
     up = purv.u[:, :ell]
     scale = max_exponent(a)
     diff = up @ (up.T @ a) - rs.u @ (rs.u.T @ a)

@@ -513,6 +513,16 @@ def test_timing_tall_sizes(tmp_path, capsys):
         assert main(args + ["--sizes", bad, "--out", str(mixed)]) == 1
 
 
+@pytest.mark.parametrize("bad", ["0", "-3", "5x0"])
+def test_timing_sizes_one_rule(tmp_path, capsys, bad):
+    # a square entry meets the same rule as an MxN one, before any matrix is made
+    out = tmp_path / "t.csv"
+    assert main(["timing", "--sizes", bad, "--algs", "qr", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"urv: error: bad --sizes entry {bad!r}: "
+                                       "expected n or MxN with M >= N >= 1\n")
+    assert not out.exists()
+
+
 def test_timing_interleaves_algorithms(tmp_path, monkeypatch, capsys):
     # one call of each algorithm per rep, so that load drift lands on all
     # of them alike; the CSV keeps its rows in algorithm order per size
@@ -530,6 +540,20 @@ def test_timing_interleaves_algorithms(tmp_path, monkeypatch, capsys):
                      + [(name, (24, 8)) for name in algs] * 3)
     rows = [r.split(",")[:2] for r in out.read_text().splitlines()[1:]]
     assert rows == [[alg, n] for n in ("16", "24x8") for alg in ("qr", "svd", "geqp3")]
+
+
+def test_timing_default_algs(tmp_path, monkeypatch, capsys):
+    # with no --algs, timing runs the paper's comparison: PowerURV and QLP
+    # against QLP's pivoted QR kernel and the SVD
+    calls = []
+    for name in ("power_urv", "qlp", "pivoted_qr", "svd"):
+        monkeypatch.setattr(urv.cli, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
+    out = tmp_path / "t.csv"
+    assert main(["timing", "--sizes", "16", "--reps", "1", "--out", str(out)]) == 0
+    assert calls == ["power_urv", "qlp", "pivoted_qr", "svd"]
+    rows = [r.split(",")[:2] for r in out.read_text().splitlines()[1:]]
+    assert rows == [[alg, "16"] for alg in ("powerurv", "qlp", "geqp3", "svd")]
 
 
 def test_timing_rejects_zero_reps(tmp_path, capsys):

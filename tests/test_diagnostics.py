@@ -396,6 +396,17 @@ class TestLemmaCheck:
         d = urv.lemma_check(a * (amax / np.abs(a).max()), 10)
         assert 0.0 < d <= 1e-12
 
+    @pytest.mark.parametrize("ell", [0, 30, 31])
+    def test_bad_ell_refused_before_power_urv(self, monkeypatch, ell):
+        # rsvd checks ell, and it runs first, so power_urv never starts
+        calls = []
+        monkeypatch.setattr(urv.diagnostics, "power_urv",
+                            lambda *args, **kwargs: calls.append(args))
+        a = urv.gaussian_matrix(40, 30, urv.RngSeed(1))
+        with pytest.raises(ValueError, match="^ell must satisfy 1 <= ell < min"):
+            urv.lemma_check(a, ell)
+        assert calls == []
+
 
 class TestFlopEstimate:
     def test_powerurv_square_q1(self):
